@@ -2,8 +2,8 @@
 
 Three questions, one deterministic world each:
 
-* what does supervision cost when nothing fails? — a fault-free run
-  under the supervised executor vs. the same run unsupervised;
+* what does a fault-free supervised run cost? — the baseline the two
+  faulted runs are timed and digest-checked against;
 * what does a worker-fault storm cost? — crash/hang injection at a
   fixed rate, measuring re-dispatches per sweep and the export parity
   the supervisor guarantees (byte-identical to fault-free);

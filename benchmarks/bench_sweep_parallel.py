@@ -1,12 +1,17 @@
-"""Serial-vs-N-worker sweep throughput (the parallel executor baseline).
+"""Sweep throughput: the serial oracle, the inline default, N workers.
 
-One deterministic world is run once per executor variant — the serial
-baseline (``workers=1``) and the sharded :class:`ProcessExecutor` at 2
-and 4 workers — and the monitor-sweep stage's :class:`PipelineMetrics`
-row gives each variant's sweep wall time and FQDN throughput.  Because
-fault-free parallel runs merge in shard order, every variant must also
-export a byte-identical dataset; the bench asserts it, so the
-throughput table doubles as an end-to-end determinism check.
+One deterministic world is run once per sweep variant — the serial
+oracle from ``tests/oracles`` (the baseline), the default one-worker
+:class:`ProcessExecutor` (a single inline shard), and the executor at 2
+and 4 workers in whatever mode it picks on this machine (forked on a
+multi-CPU box) — and the monitor-sweep stage's :class:`PipelineMetrics`
+row gives each variant's sweep wall time and FQDN throughput.  Two
+speedup columns split the gain by cause: the fused/cache share is the
+inline default over the oracle (fused sampler, resolver memo and
+extraction cache, no parallelism), the worker share is N workers over
+one inline worker.  Every variant must export a byte-identical dataset;
+the bench asserts it, so the throughput table doubles as an end-to-end
+determinism check.
 
 Runs two ways:
 
@@ -34,14 +39,20 @@ import subprocess
 import sys
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.export import dataset_to_json
-from repro.core.reporting import render_table
-from repro.core.scenario import ScenarioConfig, run_scenario
-from repro.parallel.executor import ProcessExecutor
+REPO = pathlib.Path(__file__).resolve().parents[1]
+if str(REPO) not in sys.path:
+    # The serial oracle lives in the test suite.
+    sys.path.insert(0, str(REPO))
+
+from repro.core.export import dataset_to_json  # noqa: E402
+from repro.core.reporting import render_table  # noqa: E402
+from repro.core.scenario import ScenarioConfig, build_scenario  # noqa: E402
+from repro.parallel.executor import ProcessExecutor  # noqa: E402
+from tests.oracles.serial_sweep import use_serial_sweep  # noqa: E402
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-#: Worker counts measured, serial baseline first.
+#: Worker counts measured after the serial-oracle baseline row.
 WORKER_COUNTS = (1, 2, 4)
 
 
@@ -65,23 +76,31 @@ def _config(scale: str, workers: int, weeks: Optional[int],
 
 
 def run_variant(scale: str, workers: int, weeks: Optional[int],
-                incremental: bool = False, low_churn: bool = False) -> Dict:
-    """One full scenario run; sweep cost read off the stage metrics."""
-    result = run_scenario(
+                incremental: bool = False, low_churn: bool = False,
+                oracle: bool = False) -> Dict:
+    """One full scenario run; sweep cost read off the stage metrics.
+
+    ``oracle`` swaps the sweep stage's executor for the serial oracle.
+    """
+    engine = build_scenario(
         _config(scale, workers, weeks, incremental=incremental,
                 low_churn=low_churn)
     )
-    sweep = result.metrics.stage("monitor-sweep")
+    if oracle:
+        use_serial_sweep(engine)
+    engine.run()
+    result = engine.payload
+    sweep = engine.metrics.stage("monitor-sweep")
     executor = result.executor
     cache_hits = cache_misses = 0
-    mode = "serial"
+    mode = "oracle"
     if isinstance(executor, ProcessExecutor):
         cache_hits = executor.extraction_cache.hits
         cache_misses = executor.extraction_cache.misses
         mode = executor.last_mode or "inline"
     # Last week's report: wall is elapsed (max under merge), cpu is
-    # summed shard sampling time — the satellite-fixed distinction.
-    report = executor.last_report if executor is not None else None
+    # the sum of the shards' own CPU time.
+    report = executor.last_report
     return {
         "workers": workers,
         "mode": mode,
@@ -93,18 +112,20 @@ def run_variant(scale: str, workers: int, weeks: Optional[int],
         "cache_misses": cache_misses,
         "last_sweep_wall_s": report.wall_seconds if report is not None else 0.0,
         "last_sweep_cpu_s": report.cpu_seconds if report is not None else 0.0,
+        "last_sweep_shard_cpus": list(report.shard_cpus) if report is not None else [],
         "digest": hashlib.sha256(
             dataset_to_json(result.dataset, indent=2).encode("utf-8")
         ).hexdigest(),
-        "weeks": result.weeks_run,
+        "weeks": engine.week_index,
     }
 
 
 def measure(scale: str, weeks: Optional[int] = None,
             worker_counts: Sequence[int] = WORKER_COUNTS) -> List[Dict]:
-    runs = [run_variant(scale, workers, weeks) for workers in worker_counts]
-    # Fault-free sharded runs merge deterministically: every worker
-    # count must export the byte-identical dataset.
+    runs = [run_variant(scale, 1, weeks, oracle=True)]
+    runs += [run_variant(scale, workers, weeks) for workers in worker_counts]
+    # Fault-free sharded runs merge deterministically: every variant
+    # must export the byte-identical dataset.
     digests = {run["digest"] for run in runs}
     assert len(digests) == 1, f"export digests diverged across workers: {digests}"
     return runs
@@ -126,15 +147,19 @@ def measure_isolated(scale: str, weeks: Optional[int] = None,
     existing = env.get("PYTHONPATH", "")
     env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
     runs: List[Dict] = []
-    for workers in worker_counts:
+    variants = [(1, True)] + [(workers, False) for workers in worker_counts]
+    for workers, oracle in variants:
         cmd = [sys.executable, str(script),
                "--variant", str(workers), "--scale", scale]
+        if oracle:
+            cmd.append("--oracle")
         if weeks is not None:
             cmd += ["--weeks", str(weeks)]
         proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
         if proc.returncode != 0:
             raise RuntimeError(
-                f"bench variant workers={workers} failed:\n{proc.stderr}"
+                f"bench variant workers={workers} oracle={oracle} "
+                f"failed:\n{proc.stderr}"
             )
         runs.append(json.loads(proc.stdout.splitlines()[-1]))
     digests = {run["digest"] for run in runs}
@@ -142,29 +167,47 @@ def measure_isolated(scale: str, weeks: Optional[int] = None,
     return runs
 
 
+def _label(run: Dict) -> str:
+    if run["mode"] == "oracle":
+        return "serial oracle"
+    if run["workers"] == 1:
+        return "1 (inline, default)"
+    return f"{run['workers']} ({run['mode']})"
+
+
+def _ratio(numerator: float, denominator: float) -> str:
+    return f"{numerator / denominator:.2f}x" if denominator else "-"
+
+
 def render(runs: List[Dict], scale: str) -> str:
-    baseline = runs[0]["throughput"]
+    """``runs``: the oracle row first, then one inline worker, then N."""
+    oracle = runs[0]["throughput"]
+    inline = runs[1]["throughput"]
     rows = [
         (
-            f"{run['workers']} ({run['mode']})",
+            _label(run),
             run["items"],
             f"{run['wall_s']:.2f}",
             f"{run['throughput']:,.0f}",
-            f"{run['throughput'] / baseline:.2f}x" if baseline else "-",
+            _ratio(run["throughput"], oracle),
+            _ratio(inline, oracle) if index == 1 else "-",
+            _ratio(run["throughput"], inline) if index >= 1 else "-",
             f"{run.get('last_sweep_cpu_s', 0.0):.3f}/"
             f"{run.get('last_sweep_wall_s', 0.0):.3f}",
             run["cache_hits"],
             run["cache_misses"],
         )
-        for run in runs
+        for index, run in enumerate(runs)
     ]
     return render_table(
-        ["workers", "fqdns swept", "sweep wall s", "fqdn/s", "speedup",
-         "last wk cpu/wall s", "cache hits", "cache misses"],
+        ["sweep", "fqdns swept", "sweep wall s", "fqdn/s", "vs oracle",
+         "fused+cache share", "worker share", "last wk cpu/wall s",
+         "cache hits", "cache misses"],
         rows,
         title=(
-            f"Sweep throughput, serial vs sharded ({scale} scenario, "
-            f"{runs[0]['weeks']} weeks, digests byte-identical)"
+            f"Sweep throughput, serial oracle vs inline default vs N "
+            f"workers ({scale} scenario, {runs[0]['weeks']} weeks, "
+            f"{os.cpu_count()} CPUs, digests byte-identical)"
         ),
     )
 
@@ -173,17 +216,24 @@ def emit_results(runs: List[Dict], scale: str, out=sys.stdout) -> str:
     table = render(runs, scale)
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "sweep_parallel.txt").write_text(table + "\n", encoding="utf-8")
-    baseline = runs[0]["throughput"]
+    oracle = runs[0]["throughput"]
+    inline = runs[1]["throughput"]
     trajectory = {
         "scale": scale,
         "weeks": runs[0]["weeks"],
+        "cpus": os.cpu_count(),
         "runs": [
             {key: run[key] for key in
              ("workers", "mode", "items", "wall_s", "throughput")}
             for run in runs
         ],
+        # Max workers over the serial oracle: the standalone floor.
         "speedup_at_max_workers": (
-            runs[-1]["throughput"] / baseline if baseline else 0.0
+            runs[-1]["throughput"] / oracle if oracle else 0.0
+        ),
+        "fused_cache_share": inline / oracle if oracle else 0.0,
+        "worker_share_at_max_workers": (
+            runs[-1]["throughput"] / inline if inline else 0.0
         ),
     }
     (RESULTS_DIR / "sweep_parallel.json").write_text(
@@ -305,12 +355,13 @@ def test_sweep_parallel_throughput(emit):
     # baseline; the >= 2x acceptance gate applies to the default-scale
     # standalone run, where steady-state weeks dominate.
     assert speedup >= 1.0, f"4-worker sweep slower than serial: {speedup:.2f}x"
-    # The wall/cpu split must be sane on every variant: elapsed wall is
-    # never the N-fold shard-sum the old merge bug produced.
+    # The wall/cpu split must be sane on every variant, and the
+    # reported CPU is exactly the shards' own CPU summed — never their
+    # wall times.
     for run in runs:
         assert run["last_sweep_wall_s"] > 0.0 and run["last_sweep_cpu_s"] > 0.0
-        if run["mode"] == "serial":
-            assert abs(run["last_sweep_wall_s"] - run["last_sweep_cpu_s"]) < 1e-9
+        shard_cpu = sum(run["last_sweep_shard_cpus"])
+        assert abs(run["last_sweep_cpu_s"] - shard_cpu) < 1e-9
 
 
 def test_sweep_incremental_throughput(emit):
@@ -337,6 +388,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--variant", type=int, default=None,
                         help="internal: run one worker-count variant and "
                              "print its result row as JSON")
+    parser.add_argument("--oracle", action="store_true",
+                        help="internal: run the --variant with the serial "
+                             "oracle sweep")
     parser.add_argument("--scale", default=None,
                         help="internal: scenario scale for --variant")
     parser.add_argument("--incremental", action="store_true",
@@ -349,7 +403,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.variant is not None:
         run = run_variant(args.scale or "full", args.variant, args.weeks,
                           incremental=args.incremental,
-                          low_churn=args.low_churn)
+                          low_churn=args.low_churn, oracle=args.oracle)
         print(json.dumps(run))
         return 0
     scale = "small" if args.quick else "full"

@@ -56,9 +56,11 @@ budget.  ``pipeline`` additionally prints the resilience summary —
 injected-fault counts, client retries, breaker trips, quarantined
 FQDNs.
 
-``--workers N`` shards each weekly monitor sweep across N forked
-workers, merged deterministically in shard order: a fault-free run
-exports byte-identical datasets for any worker count.
+``--workers N`` shards each weekly monitor sweep across N workers,
+merged deterministically in shard order: a fault-free run exports
+byte-identical datasets for any worker count.  The default, 1, samples
+the whole list as one inline shard and never forks; N > 1 forks one
+worker per shard on a multi-CPU box.
 
 ``--incremental`` makes sweeps churn-proportional: each week the
 monitor asks the world's revision journal what changed since its last
@@ -148,8 +150,9 @@ def _build_parser() -> argparse.ArgumentParser:
                               "failures (default: no retries)")
         cmd.add_argument("--workers", type=int, default=1, metavar="N",
                          help="sweep workers: shard the weekly monitor "
-                              "sweep across N forked workers (default 1 "
-                              "= serial baseline)")
+                              "sweep across N workers, forked on a "
+                              "multi-CPU box (default 1 = one inline "
+                              "shard, no fork)")
         cmd.add_argument("--incremental", action="store_true",
                          help="churn-proportional sweeps: skip names whose "
                               "revision-journal dependencies are unchanged "

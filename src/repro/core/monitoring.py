@@ -13,11 +13,10 @@ and what change detection consumes.
 from __future__ import annotations
 
 import hashlib
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from datetime import datetime
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.keywords import extract_keywords
 from repro.core.sigindex import (
@@ -65,9 +64,6 @@ class MonitorConfig:
     #: recorded on the snapshot.  The fallback pair counts as one
     #: logical index probe against the ethics bound.
     prefer_https: bool = False
-    #: Batch size for :meth:`WeeklyMonitor.sweep_iter` — the unit of
-    #: work a parallel executor will shard across workers.
-    sweep_batch_size: int = 256
     #: Retry budget for the monitor's own fetches (index + sitemap).
     #: The default (one attempt, no retries) is the pre-resilience
     #: behaviour; chaos runs raise it to ride out transient faults.
@@ -246,9 +242,9 @@ class ExtractionCache:
     maps an index-body hash to the :class:`SnapshotFeatures` field dict
     the body extracts to; ``sitemap`` maps a sitemap-body hash to its
     ``(size, count, sample)`` triple.  Entirely behaviour-transparent:
-    a cached entry is byte-identical to re-extraction.  Disabled by
-    default (``WeeklyMonitor`` is built without one); the parallel
-    executor owns one per run and threads it into its shard workers.
+    a cached entry is byte-identical to re-extraction.  A bare
+    ``WeeklyMonitor`` is built without one; the sweep executor owns one
+    per run and threads it into its shards.
     """
 
     html: Dict[str, Dict[str, object]] = field(default_factory=dict)
@@ -350,7 +346,7 @@ class WeeklyMonitor:
         self.store = store if store is not None else SnapshotStore()
         self.config = config or MonitorConfig()
         #: Optional content-addressed extraction memo (None = always
-        #: re-extract, the baseline serial behaviour).
+        #: re-extract).
         self.extraction_cache = extraction_cache
         #: The world's :class:`repro.sim.revisions.RevisionJournal`;
         #: required for incremental sweeps, harmless otherwise.
@@ -362,95 +358,11 @@ class WeeklyMonitor:
         self.touch_ledger = TouchLedger(cap=self.config.touch_ledger_cap)
         self.samples_taken = 0
         self.sitemap_fetches = 0
-        self._last_sweep_failures: List[Tuple[Name, str]] = []
 
     @property
     def client(self) -> HttpClient:
         """The HTTP client the monitor samples through."""
         return self._client
-
-    @property
-    def last_sweep_failures(self) -> List[Tuple[Name, str]]:
-        """(fqdn, fetch_status) pairs whose *final* sample still ended
-        in a transient failure — retries exhausted — in the most
-        recently *started* sweep.
-
-        .. deprecated::
-            Pass a ``failures`` sink to :meth:`sweep_iter` instead; the
-            shared property is racy when sweeps interleave.
-        """
-        warnings.warn(
-            "WeeklyMonitor.last_sweep_failures is deprecated; pass a "
-            "`failures` sink to sweep_iter() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._last_sweep_failures
-
-    def sweep(
-        self, fqdns: Sequence[Name], at: datetime
-    ) -> List[Tuple[SnapshotFeatures, Optional[SnapshotFeatures]]]:
-        """Sample every FQDN once.
-
-        Returns ``(new_state, previous_state)`` pairs for every FQDN
-        whose observable state changed this week — the input unit for
-        change detection.
-        """
-        changed: List[Tuple[SnapshotFeatures, Optional[SnapshotFeatures]]] = []
-        for batch_changed in self.sweep_iter(fqdns, at):
-            changed.extend(batch_changed)
-        return changed
-
-    def sweep_iter(
-        self,
-        fqdns: Sequence[Name],
-        at: datetime,
-        batch_size: Optional[int] = None,
-        failures: Optional[List[Tuple[Name, str]]] = None,
-    ) -> Iterator[List[Tuple[SnapshotFeatures, Optional[SnapshotFeatures]]]]:
-        """Sample in fixed-size batches, yielding each batch's changes.
-
-        Batches are the unit a parallel executor will shard: each batch
-        touches a disjoint slice of the monitored set, so batches can
-        run concurrently once the store is partitioned.  Yields one
-        (possibly empty) changed-pairs list per batch; iterating to
-        exhaustion is equivalent to :meth:`sweep`.
-
-        Retry-exhausted transient failures are appended to ``failures``
-        when given, else to a fresh per-call list readable (for
-        compatibility) as :attr:`last_sweep_failures`.  Validation and
-        the failure-list rebind happen eagerly at call time, not at
-        first ``next()``, so interleaved sweeps never clobber each
-        other's quarantine lists.
-        """
-        size = batch_size if batch_size is not None else self.config.sweep_batch_size
-        if size <= 0:
-            raise ValueError(f"batch_size must be positive, got {size}")
-        sink: List[Tuple[Name, str]] = failures if failures is not None else []
-        self._last_sweep_failures = sink
-        return self._sweep_batches(fqdns, at, size, sink)
-
-    def _sweep_batches(
-        self,
-        fqdns: Sequence[Name],
-        at: datetime,
-        size: int,
-        failures: List[Tuple[Name, str]],
-    ) -> Iterator[List[Tuple[SnapshotFeatures, Optional[SnapshotFeatures]]]]:
-        for start in range(0, len(fqdns), size):
-            changed: List[Tuple[SnapshotFeatures, Optional[SnapshotFeatures]]] = []
-            for fqdn in fqdns[start:start + size]:
-                features = self.sample(fqdn, at)
-                if features.fetch_status in TRANSIENT_SAMPLE_STATUSES:
-                    # Retries exhausted and the state is still unknown:
-                    # keep the last trusted state instead of recording a
-                    # phantom change, and hand the FQDN to quarantine.
-                    failures.append((fqdn, features.fetch_status))
-                    continue
-                is_new, previous = self.store.record(features)
-                if is_new:
-                    changed.append((features, previous))
-            yield changed
 
     def sample(self, fqdn: Name, at: datetime) -> SnapshotFeatures:
         """One weekly sample: index fetch, plus sitemap when warranted."""

@@ -102,9 +102,9 @@ class Resolver:
     def enable_memo(self) -> None:
         """Turn on version-validated resolution memoization.
 
-        Off by default so the serial baseline keeps the seed's exact
-        cost profile; shard workers switch it on as part of the
-        parallel fast path (each forked worker enables its own copy).
+        Off by default so a bare resolver keeps the seed's exact cost
+        profile; the sweep's fused shard loop switches it on (an inline
+        shard process-wide, each forked worker on its own copy).
         """
         self._memo_enabled = True
 

@@ -397,11 +397,11 @@ def sim_projection(events: List[Dict]) -> List[Dict]:
 def parity_projection(events: List[Dict]) -> List[Dict]:
     """The topology-invariant slice of the sim projection.
 
-    Drops the per-shard spans (their count is the worker count, and the
-    serial executor never opens them at all), the supervisor's recovery
-    spans, and the trailing metrics snapshot (whose ``sweep.shards.*``
-    and cache-split counters are topology-dependent — the registry
-    parity tests exclude the same prefixes).  What survives — the
+    Drops the per-shard spans (their count is the worker count), the
+    supervisor's recovery spans, and the trailing metrics snapshot
+    (whose ``sweep.shards.*`` and cache-split counters are
+    topology-dependent — the registry parity tests exclude the same
+    prefixes).  What survives — the
     stage, analysis and checkpoint spans with their causal ids — must
     be byte-identical for one seed across ``--workers`` counts and
     ``--incremental`` on/off.

@@ -2,14 +2,14 @@
 
 The monitored-FQDN list is the pipeline's unit of horizontal scale
 (Section 3.2 monitors millions of names weekly).  This package shards
-that list into contiguous slices, fans the slices out to workers, and
-merges the results deterministically in shard order, so a parallel
-sweep of a fault-free world is byte-identical to a serial one.
+that list into contiguous slices, samples each under a supervisor —
+inline at the default one worker, in forked workers otherwise — and
+merges the results deterministically in shard order, so a fault-free
+sweep is byte-identical for any worker count.
 """
 
 from repro.parallel.executor import (
     ProcessExecutor,
-    SerialExecutor,
     SweepExecutor,
     SweepReport,
 )
@@ -25,7 +25,6 @@ from repro.parallel.supervisor import (
 __all__ = [
     "DeadLetter",
     "ProcessExecutor",
-    "SerialExecutor",
     "SupervisedSweep",
     "SupervisorConfig",
     "SweepExecutor",

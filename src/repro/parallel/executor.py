@@ -1,22 +1,26 @@
-"""Sweep executors: the serial baseline and the sharded parallel one.
+"""The weekly sweep executor.
 
 A :class:`SweepExecutor` runs one weekly sweep of the monitored-FQDN
-list and reduces it to a :class:`SweepReport`.  :class:`SerialExecutor`
-is the seed pipeline's behaviour — one in-process pass through
-``WeeklyMonitor.sweep_iter`` — and the golden-digest baseline.
-:class:`ProcessExecutor` shards the list into contiguous slices, runs
-each shard's sample+reduce in a forked worker against the copy-on-write
-world, and merges the results **in shard order**: the snapshot store,
-the changed-pairs list, the quarantine list and every counter see the
-exact same sequence a serial sweep would have produced, so a parallel
-run of a fault-free scenario exports byte-identical digests.
+list and reduces it to a :class:`SweepReport`.  :class:`ProcessExecutor`
+is the one production sweep: it cuts the list into contiguous shards,
+samples each under the supervisor, and merges the results **in shard
+order**, so the snapshot store, the changed-pairs list, the quarantine
+list and every counter see the exact same sequence a one-by-one serial
+pass would have produced.  At one worker (the default) it runs a single
+inline shard, which never forks: on a fault-free world that shard takes
+the fused sampler with the resolver memo and the extraction cache, on a
+faulty one ``WeeklyMonitor.sample``.  With ``workers > 1`` on a
+multi-CPU box the shards run in forked workers.  A fault-free run
+exports byte-identical digests for any worker count; the serial
+reference sweep lives in the test suite as the oracle it is checked
+against.
 
-Under fault injection a parallel run is still fully deterministic —
+Under fault injection a sharded run is still fully deterministic —
 the same seed and worker count always replay the same storm — but not
-byte-identical to the *serial* chaos run: fault streams are sequential,
-so sharding re-partitions the draw sequence, and breaker failure
-streaks accumulate shard-locally.  See the determinism-under-sharding
-contract in the README.
+byte-identical to the one-worker chaos run: fault streams are
+sequential, so sharding re-partitions the draw sequence, and breaker
+failure streaks accumulate shard-locally.  See the
+determinism-under-sharding contract in the README.
 """
 
 from __future__ import annotations
@@ -30,13 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.monitoring import ExtractionCache, SnapshotFeatures, WeeklyMonitor
 from repro.dns.names import Name
 from repro.obs import OBS
-from repro.parallel.shard import (
-    ShardResult,
-    fork_available,
-    partition,
-    run_shard,
-    run_shards_forked,
-)
+from repro.parallel.shard import ShardResult, fork_available, partition
 from repro.parallel.supervisor import (
     DeadLetter,
     SupervisorConfig,
@@ -64,7 +62,7 @@ class SweepReport:
     the shard-order merge well-defined.
 
     Two timing fields with different merge laws: ``cpu_seconds`` is
-    the work actually done (sum of shard sampling time — sums under
+    the work actually done (the shards' own CPU time — sums under
     merge), while ``wall_seconds`` is elapsed time (concurrent shards
     overlap — max under merge).  Summing walls was the old bug: merging
     N concurrent shard reports inflated "elapsed" N-fold.
@@ -89,13 +87,14 @@ class SweepReport:
     worker_hangs: int = 0
     shard_retries: int = 0
     workers: int = 1
-    mode: str = "serial"
+    mode: str = "inline"
     shard_sizes: List[int] = field(default_factory=list)
     shard_walls: List[float] = field(default_factory=list)
+    shard_cpus: List[float] = field(default_factory=list)
     #: Elapsed time of the sweep (max under merge — concurrent parts
     #: overlap; the executor overwrites it with the true elapsed time).
     wall_seconds: float = 0.0
-    #: Total sampling time across shards (sum under merge).
+    #: Total CPU time the shards spent sampling (sum under merge).
     cpu_seconds: float = 0.0
 
     @property
@@ -126,6 +125,7 @@ class SweepReport:
             mode=self.mode if self.mode == other.mode else "mixed",
             shard_sizes=self.shard_sizes + other.shard_sizes,
             shard_walls=self.shard_walls + other.shard_walls,
+            shard_cpus=self.shard_cpus + other.shard_cpus,
             wall_seconds=max(self.wall_seconds, other.wall_seconds),
             cpu_seconds=self.cpu_seconds + other.cpu_seconds,
         )
@@ -145,64 +145,17 @@ class SweepExecutor:
         raise NotImplementedError
 
 
-class SerialExecutor(SweepExecutor):
-    """The seed pipeline's sweep, verbatim: one in-process pass."""
-
-    workers = 1
-
-    def sweep(
-        self, monitor: WeeklyMonitor, fqdns: Sequence[Name], at: datetime
-    ) -> SweepReport:
-        client = monitor.client
-        plan = client.fault_plan
-        samples0 = monitor.samples_taken
-        sitemap0 = monitor.sitemap_fetches
-        retries0 = client.retries_total
-        backoff0 = client.backoff_seconds_total
-        trips0 = client.breaker.trips if client.breaker is not None else 0
-        injected0 = dict(plan.stats.injected) if plan is not None else {}
-        started = time.perf_counter()
-        failures: List[Tuple[Name, str]] = []
-        changed: List[ChangedPair] = []
-        for batch_changed in monitor.sweep_iter(fqdns, at, failures=failures):
-            changed.extend(batch_changed)
-        wall = time.perf_counter() - started
-        report = SweepReport(
-            changed=changed,
-            failures=failures,
-            samples_taken=monitor.samples_taken - samples0,
-            sitemap_fetches=monitor.sitemap_fetches - sitemap0,
-            retries=client.retries_total - retries0,
-            backoff_seconds=client.backoff_seconds_total - backoff0,
-            breaker_trips=(
-                client.breaker.trips - trips0 if client.breaker is not None else 0
-            ),
-            workers=1,
-            mode="serial",
-            shard_sizes=[len(fqdns)],
-            shard_walls=[wall],
-            wall_seconds=wall,
-            cpu_seconds=wall,
-        )
-        if plan is not None:
-            for kind, count in plan.stats.injected.items():
-                delta = count - injected0.get(kind, 0)
-                if delta:
-                    report.injected[kind] = delta
-        self.last_report = report
-        return report
-
-
 class ProcessExecutor(SweepExecutor):
-    """Sharded sweep across forked workers, merged in shard order.
+    """Supervised sharded sweep, merged in shard order.
 
     The monitored list is cut into at most ``workers`` contiguous
-    slices; each runs in a forked child against the copy-on-write world
-    with shard-local client/store effects, and the parent replays every
+    slices; each runs under the supervisor — in a forked child against
+    the copy-on-write world, or inline — and the parent replays every
     shard's results — store records, quarantines, counters, passive-DNS
     observations, new extraction-cache entries — in shard order.  With
-    one worker (or where ``os.fork`` is unavailable) the same shard
-    loop runs inline, fork-free, with identical results.
+    one worker (the default, and the pipeline's default sweep) or where
+    ``os.fork`` is unavailable the shard loop runs inline, fork-free,
+    with identical results.
 
     ``use_fork=None`` (the default) auto-detects: forking pays only
     when more than one CPU is actually available — on a single-CPU box
@@ -218,11 +171,10 @@ class ProcessExecutor(SweepExecutor):
 
     def __init__(
         self,
-        workers: int = 2,
+        workers: int = 1,
         extraction_cache: Optional[ExtractionCache] = None,
         use_fork: Optional[bool] = None,
         supervisor: Optional[SupervisorConfig] = None,
-        supervised: bool = True,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -231,11 +183,8 @@ class ProcessExecutor(SweepExecutor):
             extraction_cache if extraction_cache is not None else ExtractionCache()
         )
         self.use_fork = use_fork
-        #: Failure-handling knobs; every sweep runs under the
-        #: supervisor unless ``supervised=False`` opts into the bare
-        #: fail-fast fork protocol (kept as a comparison baseline).
+        #: Failure-handling knobs of the supervisor every sweep runs under.
         self.supervisor = supervisor if supervisor is not None else SupervisorConfig()
-        self.supervised = supervised
         #: "fork" or "inline" — how the most recent sweep actually ran.
         self.last_mode: Optional[str] = None
 
@@ -248,29 +197,17 @@ class ProcessExecutor(SweepExecutor):
         )
         forked = len(shards) > 1 and want_fork and fork_available()
         started = time.perf_counter()
-        quarantined: List[DeadLetter] = []
-        if self.supervised:
-            outcome = run_shards_supervised(
-                monitor, shards, at, self.extraction_cache,
-                config=self.supervisor, forked=forked,
-            )
-            results = outcome.results
-            quarantined = outcome.quarantined
-        elif forked:
-            results = run_shards_forked(monitor, shards, at, self.extraction_cache)
-        else:
-            results = [
-                run_shard(monitor, index, shard, at, self.extraction_cache, forked=False)
-                for index, shard in enumerate(shards)
-            ]
+        outcome = run_shards_supervised(
+            monitor, shards, at, self.extraction_cache,
+            config=self.supervisor, forked=forked,
+        )
         self.last_mode = "fork" if forked else "inline"
-        report = self._apply(monitor, results, forked, at, quarantined)
+        report = self._apply(monitor, outcome.results, forked, at, outcome.quarantined)
         report.workers = self.workers
         report.mode = self.last_mode
-        if self.supervised:
-            report.worker_crashes = outcome.worker_crashes
-            report.worker_hangs = outcome.worker_hangs
-            report.shard_retries = outcome.shard_retries
+        report.worker_crashes = outcome.worker_crashes
+        report.worker_hangs = outcome.worker_hangs
+        report.shard_retries = outcome.shard_retries
         report.wall_seconds = time.perf_counter() - started
         self.last_report = report
         return report
@@ -354,7 +291,8 @@ class ProcessExecutor(SweepExecutor):
             report.cache_misses += result.cache_misses
             report.shard_sizes.append(result.size)
             report.shard_walls.append(result.wall_seconds)
-            report.cpu_seconds += result.wall_seconds
+            report.shard_cpus.append(result.cpu_seconds)
+            report.cpu_seconds += result.cpu_seconds
             if OBS.enabled:
                 OBS.series.record_shard(
                     result.index, result.size,

@@ -8,12 +8,14 @@ what makes a sharded sweep byte-identical to a serial one — the store,
 the changed-pairs list and the quarantine list all see the exact same
 sequence either way.
 
-Workers are plain ``os.fork`` children (copy-on-write world, no spawn
-re-import cost) that ship their :class:`ShardResult` back over a pipe
-as one length-prefixed pickle.  Anything a worker *would* have mutated
-in the parent — passive-DNS observations, monitor/client counters,
-fault statistics, new extraction-cache entries — is captured as a delta
-in the result and replayed by the parent, again in shard order.
+A lone shard (the one-worker default) runs inline in the parent.  With
+several shards on a multi-CPU box, the supervisor runs each in a plain
+``os.fork`` child (copy-on-write world, no spawn re-import cost) that
+ships its :class:`ShardResult` back over a pipe as one length-prefixed
+pickle.  Anything a forked worker *would* have mutated in the parent —
+passive-DNS observations, monitor/client counters, fault statistics,
+new extraction-cache entries — is captured as a delta in the result and
+replayed by the parent, again in shard order.
 
 When the world is healthy (no fault plan drawing, no breaker, no retry
 budget, plain HTTP) a shard takes the *fused* sampling path: one
@@ -28,10 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
-import struct
 import time
-import traceback
 from dataclasses import dataclass, field, replace
 from datetime import datetime
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -48,7 +47,7 @@ from repro.dns.names import Name
 from repro.dns.records import RRType
 from repro.dns.resolver import ResolutionStatus, Resolver
 from repro.dns.zone import ZONE_SET_KEY
-from repro.obs import OBS, MetricsRegistry, cpu_seconds_now, peak_rss_kb
+from repro.obs import OBS, MetricsRegistry, peak_rss_kb
 from repro.web.client import FetchStatus
 from repro.web.http import HttpRequest
 
@@ -204,8 +203,9 @@ class ShardResult:
     #: a forked child created.
     ledger_entries: Dict[Name, TouchEntry] = field(default_factory=dict)
     wall_seconds: float = 0.0
-    #: CPU seconds burned sampling this shard (wall-class: feeds the
-    #: resource accounting, excluded from determinism diffs).
+    #: CPU seconds this shard's process burned sampling it
+    #: (``time.process_time``; wall-class: feeds the resource
+    #: accounting, excluded from determinism diffs).
     cpu_seconds: float = 0.0
     #: Peak RSS of the worker process in KiB (forked mode: the child's
     #: own peak; inline: the parent's, so only max-merged, never summed).
@@ -293,7 +293,7 @@ def run_shard(
     resolver = client.resolver
     plan = client.fault_plan
     started = time.perf_counter()
-    cpu0 = cpu_seconds_now()
+    cpu0 = time.process_time()
     samples0 = monitor.samples_taken
     sitemap0 = monitor.sitemap_fetches
     retries0 = client.retries_total
@@ -416,7 +416,7 @@ def run_shard(
                 key: cache.sitemap[key] for key in cache.sitemap.keys() - sitemap_keys0
             }
     result.wall_seconds = time.perf_counter() - started
-    result.cpu_seconds = cpu_seconds_now() - cpu0
+    result.cpu_seconds = time.process_time() - cpu0
     result.peak_rss_kb = peak_rss_kb()
     return result
 
@@ -636,79 +636,3 @@ def fork_with_pipe() -> Tuple[int, int, int]:
         os.close(write_fd)
         raise
     return pid, read_fd, write_fd
-
-
-def run_shards_forked(
-    monitor: WeeklyMonitor,
-    shards: List[List[Name]],
-    at: datetime,
-    cache: Optional[ExtractionCache],
-) -> List[ShardResult]:
-    """Run every shard in its own forked worker; results in shard order.
-
-    Each child samples its slice against the copy-on-write world and
-    ships one length-prefixed pickle back over a pipe, then exits with
-    ``os._exit`` so no parent state (buffers, atexit hooks) replays.
-    The parent drains pipes in shard order and reaps every child before
-    surfacing any worker error.
-
-    This is the *unsupervised* protocol: any worker failure aborts the
-    sweep.  :func:`repro.parallel.supervisor.run_shards_supervised`
-    wraps the same child protocol with deadlines, re-dispatch and
-    poison bisection.
-    """
-    bounds = shard_bounds(shards)
-    children: List[Tuple[int, int]] = []
-    for index, shard in enumerate(shards):
-        pid, read_fd, write_fd = fork_with_pipe()
-        if pid == 0:
-            os.close(read_fd)
-            exit_code = 0
-            try:
-                try:
-                    result = run_shard(monitor, index, shard, at, cache, forked=True)
-                    payload = pickle.dumps(
-                        ("ok", result), protocol=pickle.HIGHEST_PROTOCOL
-                    )
-                except BaseException:
-                    payload = pickle.dumps(
-                        (
-                            "err",
-                            f"{shard_ident(index, bounds[index])}:\n"
-                            f"{traceback.format_exc()}",
-                        ),
-                        protocol=pickle.HIGHEST_PROTOCOL,
-                    )
-                _write_all(write_fd, struct.pack("<Q", len(payload)) + payload)
-                os.close(write_fd)
-            except BaseException:
-                exit_code = 1
-            os._exit(exit_code)
-        os.close(write_fd)
-        children.append((pid, read_fd))
-
-    results: List[ShardResult] = []
-    errors: List[str] = []
-    for index, (pid, read_fd) in enumerate(children):
-        payload = None
-        try:
-            header = _read_exact(read_fd, 8)
-            (length,) = struct.unpack("<Q", header)
-            payload = _read_exact(read_fd, length)
-        except Exception as error:
-            errors.append(
-                f"{shard_ident(index, bounds[index])} worker pid {pid}: {error}"
-            )
-        finally:
-            os.close(read_fd)
-            os.waitpid(pid, 0)
-        if payload is None:
-            continue
-        kind, value = pickle.loads(payload)
-        if kind == "err":
-            errors.append(value)
-        else:
-            results.append(value)
-    if errors:
-        raise RuntimeError("sweep shard worker(s) failed:\n" + "\n".join(errors))
-    return results

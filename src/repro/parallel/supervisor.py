@@ -1,10 +1,10 @@
 """Self-healing supervision of the sharded sweep.
 
-The unsupervised fork protocol (:func:`~repro.parallel.shard.run_shards_forked`)
-treats any worker failure as fatal: one SIGKILL'd child aborts the
-whole sweep, and a hung child blocks the parent forever in a blocking
-``waitpid``.  A three-year weekly campaign cannot work that way.  This
-module wraps the same child protocol with real failure handling:
+A bare fork protocol treats any worker failure as fatal: one SIGKILL'd
+child aborts the whole sweep, and a hung child blocks the parent
+forever in a blocking ``waitpid``.  A three-year weekly campaign cannot
+work that way.  This module runs every shard — forked or inline — with
+real failure handling:
 
 * **deadlines** — each worker gets a wall-clock budget; the parent
   drains its pipe through ``select`` with a timeout and reaps expired
@@ -507,8 +507,8 @@ def run_shards_supervised(
 ) -> SupervisedSweep:
     """Run every shard under supervision; results in shard order.
 
-    In ``forked`` mode all top-level spans launch concurrently (as the
-    unsupervised protocol does) and are drained in shard order;
+    In ``forked`` mode all top-level spans launch concurrently and are
+    drained in shard order;
     recovery of any failed span — re-dispatch, then bisection — runs
     sequentially, which keeps the fault-stream draw order, and thus the
     whole storm, deterministic.  With ``forked=False`` every span runs

@@ -1,0 +1,137 @@
+"""The serial sweep: the reference the sharded executor must reproduce.
+
+One in-process pass over the monitored list, sampling every FQDN through
+``WeeklyMonitor.sample`` and recording each sample into the store as
+soon as it is taken — no shards, no fused sampler, no resolver memo and
+no extraction cache.  This is the seed pipeline's sweep verbatim.
+Production runs :class:`~repro.parallel.executor.ProcessExecutor`; on a
+fault-free world every worker count must export the same bytes as this
+oracle, and at one worker it must match it under faults too.
+"""
+
+from __future__ import annotations
+
+import time
+from datetime import datetime
+from typing import Iterator, List, Optional, Sequence, Tuple
+
+from repro.core.monitoring import TRANSIENT_SAMPLE_STATUSES, WeeklyMonitor
+from repro.dns.names import Name
+from repro.parallel.executor import ChangedPair, SweepExecutor, SweepReport
+
+#: Batch size of :func:`sweep_iter` when the caller names none.
+DEFAULT_BATCH_SIZE = 256
+
+
+def sweep_iter(
+    monitor: WeeklyMonitor,
+    fqdns: Sequence[Name],
+    at: datetime,
+    batch_size: int = DEFAULT_BATCH_SIZE,
+    failures: Optional[List[Tuple[Name, str]]] = None,
+) -> Iterator[List[ChangedPair]]:
+    """Sample in fixed-size batches, yielding each batch's changes.
+
+    Yields one (possibly empty) changed-pairs list per batch; iterating
+    to exhaustion is equivalent to :func:`sweep`.  Retry-exhausted
+    transient failures are appended to ``failures`` when given (and
+    dropped otherwise).  The batch size is validated at call time, not
+    at the first ``next()``.
+    """
+    if batch_size <= 0:
+        raise ValueError(f"batch_size must be positive, got {batch_size}")
+    sink: List[Tuple[Name, str]] = failures if failures is not None else []
+    return _sweep_batches(monitor, fqdns, at, batch_size, sink)
+
+
+def _sweep_batches(
+    monitor: WeeklyMonitor,
+    fqdns: Sequence[Name],
+    at: datetime,
+    size: int,
+    failures: List[Tuple[Name, str]],
+) -> Iterator[List[ChangedPair]]:
+    for start in range(0, len(fqdns), size):
+        changed: List[ChangedPair] = []
+        for fqdn in fqdns[start:start + size]:
+            features = monitor.sample(fqdn, at)
+            if features.fetch_status in TRANSIENT_SAMPLE_STATUSES:
+                # Retries exhausted and the state is still unknown: keep
+                # the last trusted state and hand the FQDN to quarantine.
+                failures.append((fqdn, features.fetch_status))
+                continue
+            is_new, previous = monitor.store.record(features)
+            if is_new:
+                changed.append((features, previous))
+        yield changed
+
+
+def sweep(
+    monitor: WeeklyMonitor,
+    fqdns: Sequence[Name],
+    at: datetime,
+    failures: Optional[List[Tuple[Name, str]]] = None,
+) -> List[ChangedPair]:
+    """Sample every FQDN once; the ``(new, previous)`` state changes."""
+    changed: List[ChangedPair] = []
+    for batch in sweep_iter(monitor, fqdns, at, failures=failures):
+        changed.extend(batch)
+    return changed
+
+
+class SerialExecutor(SweepExecutor):
+    """The serial sweep behind the :class:`SweepExecutor` interface."""
+
+    workers = 1
+
+    def sweep(
+        self, monitor: WeeklyMonitor, fqdns: Sequence[Name], at: datetime
+    ) -> SweepReport:
+        client = monitor.client
+        plan = client.fault_plan
+        samples0 = monitor.samples_taken
+        sitemap0 = monitor.sitemap_fetches
+        retries0 = client.retries_total
+        backoff0 = client.backoff_seconds_total
+        trips0 = client.breaker.trips if client.breaker is not None else 0
+        injected0 = dict(plan.stats.injected) if plan is not None else {}
+        started = time.perf_counter()
+        cpu0 = time.process_time()
+        failures: List[Tuple[Name, str]] = []
+        changed = sweep(monitor, fqdns, at, failures=failures)
+        wall = time.perf_counter() - started
+        cpu = time.process_time() - cpu0
+        report = SweepReport(
+            changed=changed,
+            failures=failures,
+            samples_taken=monitor.samples_taken - samples0,
+            sitemap_fetches=monitor.sitemap_fetches - sitemap0,
+            retries=client.retries_total - retries0,
+            backoff_seconds=client.backoff_seconds_total - backoff0,
+            breaker_trips=(
+                client.breaker.trips - trips0 if client.breaker is not None else 0
+            ),
+            workers=1,
+            mode="serial",
+            shard_sizes=[len(fqdns)],
+            shard_walls=[wall],
+            shard_cpus=[cpu],
+            wall_seconds=wall,
+            cpu_seconds=cpu,
+        )
+        if plan is not None:
+            for kind, count in plan.stats.injected.items():
+                delta = count - injected0.get(kind, 0)
+                if delta:
+                    report.injected[kind] = delta
+        self.last_report = report
+        return report
+
+
+def use_serial_sweep(engine) -> SerialExecutor:
+    """Make a built scenario engine's sweep stage run the serial oracle."""
+    oracle = SerialExecutor()
+    (stage,) = [s for s in engine.stages if s.name == "monitor-sweep"]
+    stage._executor = oracle
+    engine.payload.executor = oracle
+    return oracle

@@ -13,6 +13,7 @@ from repro.sim.clock import SimClock
 from repro.sim.rng import RngStreams
 from repro.web.sitemap import Sitemap
 from repro.world.internet import Internet
+from tests.oracles.serial_sweep import sweep, sweep_iter
 
 T0 = datetime(2020, 1, 6)
 
@@ -54,7 +55,7 @@ def test_store_dedups_identical_states(internet):
     monitor = WeeklyMonitor(internet.client)
     at = T0
     for week in range(5):
-        changed = monitor.sweep([fqdn], at)
+        changed = sweep(monitor, [fqdn], at)
         at += timedelta(weeks=1)
         if week == 0:
             assert len(changed) == 1
@@ -69,9 +70,9 @@ def test_store_dedups_identical_states(internet):
 def test_content_change_creates_new_state(internet):
     _, resource, fqdn = _victim(internet)
     monitor = WeeklyMonitor(internet.client)
-    monitor.sweep([fqdn], T0)
+    sweep(monitor, [fqdn], T0)
     resource.site.put_index("<html><head><title>slot gacor</title></head><body><p>judi</p></body></html>")
-    changed = monitor.sweep([fqdn], T0 + timedelta(weeks=1))
+    changed = sweep(monitor, [fqdn], T0 + timedelta(weeks=1))
     assert len(changed) == 1
     current, previous = changed[0]
     assert previous is not None
@@ -87,9 +88,9 @@ def test_sitemap_fetched_on_change_only(internet):
         sitemap.add(f"http://{fqdn}/p{index}")
     resource.site.put_sitemap(sitemap)
     monitor = WeeklyMonitor(internet.client)
-    monitor.sweep([fqdn], T0)
+    sweep(monitor, [fqdn], T0)
     assert monitor.sitemap_fetches == 1
-    monitor.sweep([fqdn], T0 + timedelta(weeks=1))  # unchanged
+    sweep(monitor, [fqdn], T0 + timedelta(weeks=1))  # unchanged
     assert monitor.sitemap_fetches == 1
     features = monitor.store.latest(fqdn)
     assert features.sitemap_count == 20
@@ -138,7 +139,7 @@ def test_sweep_iter_batches_cover_all_fqdns(internet):
         for i in range(5)
     ]
     monitor = WeeklyMonitor(internet.client)
-    batches = list(monitor.sweep_iter(fqdns, T0, batch_size=2))
+    batches = list(sweep_iter(monitor, fqdns, T0, batch_size=2))
     assert len(batches) == 3  # 2 + 2 + 1
     assert monitor.samples_taken == 5
     # First sweep: every FQDN is a new state, one pair per name in order.
@@ -154,11 +155,11 @@ def test_sweep_iter_equivalent_to_sweep(internet):
     batched_monitor = WeeklyMonitor(internet.client)
     flat = [
         pair
-        for batch in batched_monitor.sweep_iter(fqdns, T0, batch_size=3)
+        for batch in sweep_iter(batched_monitor, fqdns, T0, batch_size=3)
         for pair in batch
     ]
     plain_monitor = WeeklyMonitor(internet.client)
-    swept = plain_monitor.sweep(fqdns, T0)
+    swept = sweep(plain_monitor, fqdns, T0)
     assert [p[0].state_key() for p in flat] == [p[0].state_key() for p in swept]
     assert batched_monitor.samples_taken == plain_monitor.samples_taken
 
@@ -166,7 +167,7 @@ def test_sweep_iter_equivalent_to_sweep(internet):
 def test_sweep_iter_rejects_bad_batch_size(internet):
     monitor = WeeklyMonitor(internet.client)
     try:
-        list(monitor.sweep_iter([], T0, batch_size=0))
+        list(sweep_iter(monitor, [], T0, batch_size=0))
     except ValueError as error:
         assert "batch_size" in str(error)
     else:  # pragma: no cover
@@ -176,7 +177,7 @@ def test_sweep_iter_rejects_bad_batch_size(internet):
 def test_sweep_iter_batch_size_one(internet):
     fqdns = [_victim(internet, name=f"one{i}")[2] for i in range(3)]
     monitor = WeeklyMonitor(internet.client)
-    batches = list(monitor.sweep_iter(fqdns, T0, batch_size=1))
+    batches = list(sweep_iter(monitor, fqdns, T0, batch_size=1))
     assert len(batches) == 3
     assert all(len(batch) == 1 for batch in batches)
     assert monitor.samples_taken == 3
@@ -185,21 +186,21 @@ def test_sweep_iter_batch_size_one(internet):
 def test_sweep_iter_exact_multiple_has_no_ragged_batch(internet):
     fqdns = [_victim(internet, name=f"mult{i}")[2] for i in range(6)]
     monitor = WeeklyMonitor(internet.client)
-    batches = list(monitor.sweep_iter(fqdns, T0, batch_size=3))
+    batches = list(sweep_iter(monitor, fqdns, T0, batch_size=3))
     assert [len(batch) for batch in batches] == [3, 3]
 
 
 def test_sweep_iter_batch_larger_than_input(internet):
     fqdns = [_victim(internet, name=f"big{i}")[2] for i in range(2)]
     monitor = WeeklyMonitor(internet.client)
-    batches = list(monitor.sweep_iter(fqdns, T0, batch_size=100))
+    batches = list(sweep_iter(monitor, fqdns, T0, batch_size=100))
     assert len(batches) == 1
     assert len(batches[0]) == 2
 
 
 def test_sweep_iter_empty_input_yields_nothing(internet):
     monitor = WeeklyMonitor(internet.client)
-    assert list(monitor.sweep_iter([], T0, batch_size=4)) == []
+    assert list(sweep_iter(monitor, [], T0, batch_size=4)) == []
     assert monitor.samples_taken == 0
 
 
@@ -274,7 +275,7 @@ def test_sweep_quarantines_exhausted_transient_failures():
         chaos.client, config=MonitorConfig(retry=RetryPolicy.standard(2))
     )
     failures: list = []
-    batches = list(monitor.sweep_iter([bad], T0, batch_size=2, failures=failures))
+    batches = list(sweep_iter(monitor, [bad], T0, batch_size=2, failures=failures))
     # The reset-forever FQDN never enters the store: no phantom state.
     assert batches == [[]]
     assert failures == [(bad, "connection-reset")]
@@ -289,7 +290,7 @@ def test_sweep_iter_validates_eagerly_at_call_time(internet):
     # The ValueError must fire at the call, not at the first next():
     # a lazily-raising generator silently validates nothing if dropped.
     with pytest.raises(ValueError):
-        monitor.sweep_iter([], T0, batch_size=0)
+        sweep_iter(monitor, [], T0, batch_size=0)
 
 
 def test_sweep_iter_failure_sink_is_per_call():
@@ -297,13 +298,16 @@ def test_sweep_iter_failure_sink_is_per_call():
     _, _, bad = _victim(chaos)
     monitor = WeeklyMonitor(chaos.client)
     mine: list = []
-    batches = list(monitor.sweep_iter([bad], T0, failures=mine))
+    batches = list(sweep_iter(monitor, [bad], T0, failures=mine))
     assert batches == [[]]
     assert mine == [(bad, "connection-reset")]
-    # The compat view still aliases the caller's sink, but using it now
-    # warns: the per-call sink is the supported interface.
-    with pytest.warns(DeprecationWarning):
-        assert monitor.last_sweep_failures is mine
+    # A second sweep with its own sink leaves the first sink untouched:
+    # the per-call sink is the only failure channel.
+    theirs: list = []
+    list(sweep_iter(monitor, [bad], T0, failures=theirs))
+    assert mine == [(bad, "connection-reset")]
+    assert theirs == [(bad, "connection-reset")]
+    assert not hasattr(monitor, "last_sweep_failures")
 
 
 def test_interleaved_sweeps_do_not_clobber_failure_lists():
@@ -316,8 +320,8 @@ def test_interleaved_sweeps_do_not_clobber_failure_lists():
     monitor = WeeklyMonitor(chaos.client)
     first_sink: list = []
     second_sink: list = []
-    first = monitor.sweep_iter([bad], T0, batch_size=1, failures=first_sink)
-    second = monitor.sweep_iter([bad2], T0, batch_size=1, failures=second_sink)
+    first = sweep_iter(monitor, [bad], T0, batch_size=1, failures=first_sink)
+    second = sweep_iter(monitor, [bad2], T0, batch_size=1, failures=second_sink)
     next(second)  # start the second sweep before draining the first
     list(first)
     list(second)

@@ -1,7 +1,7 @@
 """Tests for the sharded sweep executor (`repro.parallel`).
 
 Covers the determinism contract (a fault-free sharded run is
-byte-identical to the serial baseline, fork or no fork), the fused
+byte-identical to the serial oracle, fork or no fork), the fused
 sampling path's feature parity with ``WeeklyMonitor.sample``, the
 partition/merge algebra, and the extraction cache.
 """
@@ -24,7 +24,6 @@ from repro.faults.plan import FaultConfig, FaultPlan
 from repro.faults.retry import CircuitBreaker, RetryPolicy
 from repro.parallel import (
     ProcessExecutor,
-    SerialExecutor,
     SweepReport,
     fast_path_eligible,
     partition,
@@ -34,6 +33,7 @@ from repro.pipeline.metrics import PipelineMetrics, StageMetrics
 from repro.sim.clock import SimClock
 from repro.sim.rng import RngStreams
 from repro.world.internet import Internet
+from tests.oracles.serial_sweep import SerialExecutor
 
 T0 = datetime(2020, 1, 6)
 WEEK = timedelta(weeks=1)
@@ -339,6 +339,44 @@ def test_extraction_cache_persists_across_sweeps():
     assert executor.extraction_cache.misses == misses_after_first
 
 
+class _Capturing(ProcessExecutor):
+    """Keeps the shard results each sweep merges, optionally after
+    overwriting their wall times."""
+
+    def __init__(self, *args, wall=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.results = []
+        self._wall = wall
+
+    def _apply(self, monitor, results, forked, at, quarantined=None):
+        if self._wall is not None:
+            for result in results:
+                result.wall_seconds = self._wall
+        self.results = list(results)
+        return super()._apply(monitor, results, forked, at, quarantined)
+
+
+def test_inline_sweep_cpu_is_the_sum_of_shard_cpu():
+    internet, fqdns = _monitored_world()
+    executor = _Capturing(workers=3, use_fork=False)
+    report = executor.sweep(WeeklyMonitor(internet.client), fqdns, T0)
+    assert len(executor.results) == 3
+    assert report.cpu_seconds == sum(r.cpu_seconds for r in executor.results)
+    assert report.shard_cpus == [r.cpu_seconds for r in executor.results]
+
+
+def test_forked_sweep_reports_shard_cpu_not_shard_wall():
+    # cpu_seconds is the shards' CPU, not their wall: inflated walls
+    # (a slow pipe or reap) must not move it.
+    internet, fqdns = _monitored_world()
+    executor = _Capturing(workers=3, use_fork=True, wall=100.0)
+    report = executor.sweep(WeeklyMonitor(internet.client), fqdns, T0)
+    assert executor.last_mode == "fork"
+    assert report.shard_walls == [100.0, 100.0, 100.0]
+    assert report.cpu_seconds == sum(r.cpu_seconds for r in executor.results)
+    assert report.cpu_seconds < 100.0
+
+
 def test_process_executor_rejects_bad_worker_count():
     with pytest.raises(ValueError):
         ProcessExecutor(workers=0)
@@ -356,7 +394,7 @@ def test_sharded_scenario_exports_byte_identical_dataset(tiny_result):
     assert dataset_to_json(result.dataset, indent=2) == baseline
 
 
-def test_monitor_stage_defaults_to_serial_executor():
+def test_monitor_stage_defaults_to_one_inline_worker():
     internet, fqdns = _monitored_world(2)
     monitor = WeeklyMonitor(internet.client)
 
@@ -364,4 +402,18 @@ def test_monitor_stage_defaults_to_serial_executor():
         monitored_sorted = fqdns
 
     stage = MonitorSweepStage(monitor, Collector())
-    assert isinstance(stage._executor, SerialExecutor)
+    assert isinstance(stage._executor, ProcessExecutor)
+    assert stage._executor.workers == 1
+    stage._executor.sweep(monitor, fqdns, T0)
+    # One shard never forks, whatever the machine's CPU count.
+    assert stage._executor.last_mode == "inline"
+    assert stage._executor.last_report.shard_sizes == [len(fqdns)]
+
+
+def test_default_scenario_sweeps_with_one_inline_worker(tiny_result):
+    executor = tiny_result.executor
+    assert isinstance(executor, ProcessExecutor)
+    assert executor.workers == 1
+    assert executor.last_mode == "inline"
+    # The fused path's extraction cache is live on the default path.
+    assert executor.extraction_cache.hits > 0

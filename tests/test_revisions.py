@@ -17,12 +17,13 @@ from repro.core.monitoring import TouchEntry, TouchLedger, WeeklyMonitor
 from repro.dns.records import RRType, ResourceRecord
 from repro.dns.zone import ZONE_SET_KEY
 from repro.obs import OBS, MetricsRegistry
-from repro.parallel import ProcessExecutor, SerialExecutor
+from repro.parallel import ProcessExecutor
 from repro.sim.clock import SimClock
 from repro.sim.events import EventLog
 from repro.sim.revisions import RevisionJournal
 from repro.sim.rng import RngStreams
 from repro.world.internet import Internet
+from tests.oracles.serial_sweep import SerialExecutor
 
 T0 = datetime(2020, 1, 6)
 WEEK = timedelta(weeks=1)

