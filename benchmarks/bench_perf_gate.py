@@ -36,14 +36,10 @@ from repro.obs.timeseries import deterministic_view
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 BASELINE_PATH = RESULTS_DIR / "perf_baseline_tiny.json"
 
-#: The pinned gate scenario: tiny, fault-free, deterministic — and
-#: **one worker**.  Worker cache-split counters (resolver memo, zone
-#: memo, extraction cache) depend on whether shards fork or run inline,
-#: which the executor auto-detects from the machine's CPU count for
-#: N > 1.  One worker is a single inline shard that never forks, so its
-#: counters, and the committed baseline, check identically everywhere.
-RUN_ARGS = ["run", "--scale", "tiny", "--seed", "42", "--weeks", "12",
-            "--workers", "1"]
+#: The pinned gate scenario: tiny, fault-free, deterministic.  The
+#: sweep runs in-process, so its counters, and the committed baseline,
+#: check identically on any machine.
+RUN_ARGS = ["run", "--scale", "tiny", "--seed", "42", "--weeks", "12"]
 
 
 class _Sink:

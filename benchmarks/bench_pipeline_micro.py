@@ -80,7 +80,7 @@ def test_pipeline_stage_timings(emit):
 
 
 def test_observability_registry(emit):
-    """Hot-path counters off a traced tiny 2-worker run.
+    """Hot-path counters off a traced tiny run.
 
     The same registry ``--metrics``/``profile`` read: asserts the
     instrumentation actually fires on the sweep hot path (resolver
@@ -90,7 +90,6 @@ def test_observability_registry(emit):
     registry = MetricsRegistry()
     tracer = Tracer(sample_every=1)  # aggregate-only, no file
     config = ScenarioConfig.tiny()
-    config.workers = 2
     OBS.configure(metrics=registry, tracer=tracer)
     try:
         result = run_scenario(config)
@@ -116,6 +115,6 @@ def test_observability_registry(emit):
         "observability_registry",
         render_table(
             ["series", "value"], registry.rows(),
-            title=f"Metrics registry (tiny, {result.weeks_run} weeks, 2 workers)",
+            title=f"Metrics registry (tiny, {result.weeks_run} weeks)",
         ),
     )

@@ -29,9 +29,8 @@ one broken analysis costs its report section, never the report.
 
 Observability: every task runs under an ``analysis.<name>`` span and
 bumps ``analysis.<name>.{ok,failed,skipped}`` counter series (children
-swap in a fresh registry/buffer tracer and ship both home, exactly
-like sweep shard workers), so serial and parallel runs produce the
-same deterministic counters.
+swap in a fresh registry/buffer tracer and ship both home), so serial
+and parallel runs produce the same deterministic counters.
 
 Fault injection is suppressed for the duration of a run: the analyses
 are offline measurements over the finished world, and drawing from the
@@ -51,7 +50,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs import OBS, MetricsRegistry, cpu_seconds_now
-from repro.parallel.shard import _read_exact, _write_all, fork_with_pipe
 
 
 @dataclass(frozen=True)
@@ -374,6 +372,46 @@ def _run_pool(
             if events:
                 OBS.tracer.replay(events)
     return done
+
+
+# -- fork plumbing ---------------------------------------------------------
+
+
+def fork_with_pipe() -> Tuple[int, int, int]:
+    """Fork with a result pipe, leaking nothing on failure.
+
+    Returns ``(pid, read_fd, write_fd)``.  If ``os.fork`` raises —
+    EAGAIN under pid pressure, ENOMEM — both pipe ends are closed
+    before the exception propagates, so a failed spawn can't bleed
+    file descriptors across a long campaign.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    return pid, read_fd, write_fd
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        written = os.write(fd, view)
+        view = view[written:]
+
+
+def _read_exact(fd: int, length: int) -> bytes:
+    chunks: List[bytes] = []
+    remaining = length
+    while remaining:
+        chunk = os.read(fd, min(remaining, 1 << 20))
+        if not chunk:
+            raise RuntimeError("worker closed its pipe before reporting")
+        chunks.append(chunk)
+        remaining -= len(chunk)
+    return b"".join(chunks)
 
 
 def _spawn(task: AnalysisTask, result, deps: Dict[str, object]) -> _Child:

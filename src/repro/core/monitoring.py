@@ -244,7 +244,7 @@ class ExtractionCache:
     ``(size, count, sample)`` triple.  Entirely behaviour-transparent:
     a cached entry is byte-identical to re-extraction.  A bare
     ``WeeklyMonitor`` is built without one; the sweep executor owns one
-    per run and threads it into its shards.
+    per run and lends it to the monitor for each sweep.
     """
 
     html: Dict[str, Dict[str, object]] = field(default_factory=dict)
@@ -287,11 +287,10 @@ class TouchEntry:
 class TouchLedger:
     """Size-capped store of :class:`TouchEntry` proofs, monitor-owned.
 
-    Replaces the old identity-comparison touch memo that workers used
-    to inject onto the monitor via a private attribute: entries here
-    are validated against the revision journal (value semantics), not
-    against Python object identity, so they stay valid across process
-    forks and site types.  ``cursor`` marks the journal position the
+    Entries are validated against the revision journal (value
+    semantics), not against Python object identity, so they stay valid
+    across checkpoint resumes and site types.  ``cursor`` marks the
+    journal position the
     ledger was last reconciled at: every live entry's dependencies are
     unchanged as of that cursor, so one ``changed_since(cursor)`` call
     yields the sweep's dirty set.
@@ -308,8 +307,8 @@ class TouchLedger:
 
     def get(self, fqdn: Name) -> Optional[TouchEntry]:
         """The entry for ``fqdn``, if any.  Read-only: recency order is
-        deliberately not updated, so lookups behave identically whether
-        they happen inline or in a forked worker's copy."""
+        deliberately not updated, so only :meth:`put` order decides
+        evictions."""
         return self._entries.get(fqdn)
 
     def put(self, fqdn: Name, entry: TouchEntry) -> None:

@@ -44,7 +44,6 @@ from repro.core.stages import (
 from repro.faults.plan import FaultConfig, FaultPlan
 from repro.faults.retry import CircuitBreaker, RetryPolicy
 from repro.parallel.executor import ProcessExecutor, SweepExecutor
-from repro.parallel.supervisor import SupervisorConfig
 from repro.pipeline.context import QuarantineRecord
 from repro.pipeline.engine import PipelineEngine
 from repro.pipeline.store import CheckpointStore
@@ -91,26 +90,12 @@ class ScenarioConfig:
     breaker_threshold: int = 5
     #: Retry budget for a stage tick that raises (1 = fail immediately).
     stage_retry_attempts: int = 1
-    #: Sweep workers: 1 runs the weekly sweep as one inline shard (no
-    #: fork); N > 1 shards the monitored list across N workers, forked
-    #: on a multi-CPU box, merged deterministically in shard order
-    #: (fault-free runs export byte-identical digests for any worker
-    #: count).
-    workers: int = 1
     #: Churn-proportional sweeps: the monitor computes each week's
     #: dirty set from the world's revision journal and extends clean
     #: names' windows through its touch ledger instead of re-sampling
     #: them.  Exported digests stay byte-identical to a full sweep's
-    #: for any seed and worker count.
+    #: for any seed.
     incremental: bool = False
-    #: Supervisor wall-clock budget per shard worker, in seconds.
-    #: ``None`` auto-selects: a deadline is only needed when hang
-    #: faults are injected (workers cannot hang on their own in the
-    #: simulation), in which case a short one is chosen.
-    shard_deadline: Optional[float] = None
-    #: Supervisor re-dispatches of a failed shard span before it is
-    #: bisected toward quarantine.
-    shard_retries: int = 2
 
     @classmethod
     def tiny(cls, seed: int = 42) -> "ScenarioConfig":
@@ -205,10 +190,8 @@ def build_scenario(config: Optional[ScenarioConfig] = None) -> PipelineEngine:
             else streams.fork("faults")
         )
         fault_plan = FaultPlan(config.faults, fault_streams)
-        # The breaker guards the *data plane*; worker-only fault runs
-        # (crash/hang/poison) leave it out so the fused sampling path
-        # stays eligible and a recovered sweep's exports are
-        # byte-identical to a fault-free run's.
+        # The breaker guards the *data plane*; poison-only fault runs
+        # leave it out so the fused sampling path stays eligible.
         if config.faults.any_active:
             breaker = CircuitBreaker(failure_threshold=config.breaker_threshold)
     # The world is built on a healthy Internet — chaos begins only once
@@ -260,20 +243,7 @@ def build_scenario(config: Optional[ScenarioConfig] = None) -> PipelineEngine:
         journal=internet.revisions,
         incremental=config.incremental,
     )
-    shard_deadline = config.shard_deadline
-    if shard_deadline is None and config.faults.worker_hang_rate > 0:
-        # Hung workers exist only by injection here, and an injected
-        # hang never recovers — a short deadline reaps it quickly
-        # without ever clipping a healthy worker (the simulation does
-        # no real I/O, so honest shards finish in milliseconds).
-        shard_deadline = 5.0
-    executor = ProcessExecutor(
-        workers=config.workers,
-        supervisor=SupervisorConfig(
-            shard_deadline=shard_deadline,
-            max_shard_retries=config.shard_retries,
-        ),
-    )
+    executor = ProcessExecutor()
     detector = AbuseDetector(monitor.store, config.detector, whois=internet.whois)
 
     harvester = BinaryHarvester(internet.client, internet.virustotal)
@@ -325,10 +295,10 @@ def run_scenario(
 
     With a ``checkpoint_store`` the engine durably snapshots itself
     every ``checkpoint_every`` weeks; ``resume=True`` restores the
-    newest *intact* checkpoint from the store (torn or corrupt files
-    are skipped — see :attr:`CheckpointStore.last_recovery`) and runs
-    the remaining weeks, falling back to a fresh build when the store
-    holds nothing usable.  A resumed run finishes with the same final
+    newest *intact* checkpoint from the store (torn, corrupt or stale
+    files are skipped — see :attr:`CheckpointStore.last_recovery`) and
+    runs the remaining weeks, falling back to a fresh build when the
+    store holds nothing usable.  A resumed run finishes with the same final
     state the uninterrupted run would have had: the checkpoint carries
     the entire engine, world and RNG streams.
     """
@@ -336,9 +306,7 @@ def run_scenario(
     if resume:
         if checkpoint_store is None:
             raise ValueError("resume=True requires a checkpoint_store")
-        checkpoint = checkpoint_store.load_latest()
-        if checkpoint is not None:
-            pipeline = PipelineEngine.restore(checkpoint)
+        pipeline = checkpoint_store.restore_latest()
     if pipeline is None:
         pipeline = build_scenario(config)
     if checkpoint_store is not None:

@@ -2,7 +2,7 @@
 
 Each class here is one component of the paper's weekly pipeline,
 expressed as a :class:`~repro.pipeline.stage.Stage` so the engine can
-order, time, checkpoint and (later) shard them.  ``build_stages``
+order, time and checkpoint them.  ``build_stages``
 composes the canonical nine-stage pipeline that ``run_scenario`` runs:
 
 ``world → orchestrator → users → collector-refresh → monitor-sweep →
@@ -125,13 +125,13 @@ class MonitorSweepStage(Stage):
     """Weekly sampling of every monitored FQDN, via a sweep executor.
 
     The sweep itself is delegated to a
-    :class:`~repro.parallel.executor.SweepExecutor` — by default a
-    one-worker :class:`~repro.parallel.executor.ProcessExecutor`, which
-    samples the whole list as one inline shard.  FQDNs whose final
-    sample still ended in a transient failure after the monitor's retry
-    budget are dead-lettered onto the context's quarantine instead of
-    polluting the state store — the week's sweep degrades to the
-    reachable subset rather than aborting.
+    :class:`~repro.parallel.executor.SweepExecutor` — by default the
+    in-process :class:`~repro.parallel.executor.ProcessExecutor`.
+    FQDNs whose final sample still ended in a transient failure after
+    the monitor's retry budget, and FQDNs whose sample raised, are
+    dead-lettered onto the context's quarantine instead of polluting
+    the state store — the week's sweep degrades to the reachable subset
+    rather than aborting.
     """
 
     name = "monitor-sweep"
@@ -152,10 +152,8 @@ class MonitorSweepStage(Stage):
         report = self._executor.sweep(self._monitor, fqdns, ctx.at)
         for fqdn, status in report.failures:
             ctx.quarantine_item(fqdn, f"retries exhausted ({status})")
-        for fqdn, reason in report.quarantined:
-            # Poison isolated by the supervisor's bisection: the name's
-            # worker died on every attempt, so it produced no sample.
-            ctx.quarantine_item(fqdn, f"poison shard: {reason}")
+        for fqdn, reason in report.dead_letters:
+            ctx.quarantine_item(fqdn, f"sample raised ({reason})")
         ctx.put(CHANGED_PAIRS, report.changed)
         return len(fqdns)
 

@@ -85,7 +85,7 @@ class Resolver:
         self._passive_dns = passive_dns
         self.fault_plan = fault_plan
         #: Memo of (qname, qtype) → finished walk, used only after
-        #: :meth:`enable_memo`.  The sharded sweep re-resolves the same
+        #: :meth:`enable_memo`.  The weekly sweep re-resolves the same
         #: mostly-unchanged names thousands of times; a memo entry pins
         #: every *name* the walk consulted — the per-name mutation
         #: versions of the name and its wildcard key, plus which zone
@@ -103,20 +103,14 @@ class Resolver:
         """Turn on version-validated resolution memoization.
 
         Off by default so a bare resolver keeps the seed's exact cost
-        profile; the sweep's fused shard loop switches it on (an inline
-        shard process-wide, each forked worker on its own copy).
+        profile; the sweep's fused sampling path switches it on.
         """
         self._memo_enabled = True
 
     @property
     def passive_dns(self) -> Optional[PassiveDNS]:
-        """The feed successful lookups mirror into (swappable, so a
-        shard worker can interpose an observation recorder)."""
+        """The feed successful lookups mirror into."""
         return self._passive_dns
-
-    @passive_dns.setter
-    def passive_dns(self, feed: Optional[PassiveDNS]) -> None:
-        self._passive_dns = feed
 
     def resolve(
         self, qname: Name, qtype: RRType = RRType.A, at: Optional[datetime] = None
@@ -197,8 +191,8 @@ class Resolver:
         registry_version = self._zones.version
         result, touched, observed = self._walk(qname, qtype, at)
         # A list, not a tuple: a still-valid entry refreshes its
-        # registry-version snapshot in place, keeping the identity that
-        # higher-level caches (the shard touch memo) key on.
+        # registry-version snapshot in place, keeping its identity
+        # stable while it is valid.
         self._memo[key] = [
             registry_version,
             touched,
@@ -318,9 +312,7 @@ class Resolver:
         An entry is valid while every name its walk consulted still has
         the same cover and per-name versions (:meth:`_memo_valid`) —
         i.e. while a fresh walk would provably return the identical
-        result.  Entry identity is stable for as long as it is valid,
-        which lets higher-level caches (the shard touch memo) use
-        ``is`` checks to detect any DNS change since they were built.
+        result.  Entry identity is stable for as long as it is valid.
         """
         entry = self._memo.get((qname, qtype))
         if entry is None or not self._memo_valid(entry):

@@ -17,11 +17,10 @@ from repro.faults.plan import (
     HTTP_503,
     ICMP_BLACKOUT,
     TRUNCATED_BODY,
-    WORKER_CRASH,
-    WORKER_HANG,
     FaultConfig,
     FaultPlan,
     FaultStats,
+    PoisonedName,
 )
 from repro.faults.retry import (
     CLOSED,
@@ -45,8 +44,7 @@ __all__ = [
     "HTTP_503",
     "ICMP_BLACKOUT",
     "OPEN",
+    "PoisonedName",
     "RetryPolicy",
     "TRUNCATED_BODY",
-    "WORKER_CRASH",
-    "WORKER_HANG",
 ]

@@ -34,11 +34,14 @@ ICMP_BLACKOUT = "icmp-blackout"
 HTTP_503 = "http-503"
 HTTP_429 = "http-429"
 TRUNCATED_BODY = "truncated-body"
-#: Process fault kinds injected into the sweep supervisor's workers:
-#: a worker killed mid-shard (SIGKILL, payload lost) and a worker that
-#: stops making progress until the supervisor's deadline reaps it.
-WORKER_CRASH = "worker-crash"
-WORKER_HANG = "worker-hang"
+
+
+class PoisonedName(Exception):
+    """Raised when the sweep samples a ``FaultConfig.poison_fqdns`` name."""
+
+    def __init__(self, fqdn: str):
+        super().__init__(f"poisoned subject {fqdn}")
+        self.fqdn = fqdn
 
 
 @dataclass
@@ -62,14 +65,9 @@ class FaultConfig:
     http_503_rate: float = 0.0
     http_429_rate: float = 0.0
     truncated_body_rate: float = 0.0
-    #: Process-level fault rates, drawn once per shard span on its
-    #: *first* dispatch (retries of the same span never re-draw, so a
-    #: transient worker fault costs one re-dispatch, never a sweep).
-    worker_crash_rate: float = 0.0
-    worker_hang_rate: float = 0.0
-    #: Deterministically poisonous subjects: a worker crashes every
-    #: time it samples one of these names, so only the supervisor's
-    #: bisection can get the rest of the shard through.  Lower-case
+    #: Deterministically poisonous subjects: sampling one of these
+    #: names always raises :class:`PoisonedName`, so the sweep must
+    #: dead-letter it without losing the rest of the list.  Lower-case
     #: FQDN strings.
     poison_fqdns: Tuple[str, ...] = ()
 
@@ -113,22 +111,6 @@ class FaultConfig:
         return self.enabled and self.truncated_body_rate > 0
 
     @property
-    def worker_active(self) -> bool:
-        """Process-level faults for the sweep supervisor to exercise.
-
-        Deliberately *not* part of :attr:`any_active`: worker faults
-        kill and retry whole shards but never touch the data plane, so
-        the fused sampling path (gated on ``any_active``) stays
-        eligible and a recovered sweep exports the same bytes as a
-        fault-free one.
-        """
-        return self.enabled and (
-            self.worker_crash_rate > 0
-            or self.worker_hang_rate > 0
-            or bool(self.poison_fqdns)
-        )
-
-    @property
     def any_active(self) -> bool:
         return self.dns_active or self.net_active or self.http_active or self.truncation_active
 
@@ -164,7 +146,6 @@ class FaultPlan:
     def __init__(self, config: FaultConfig, streams: RngStreams):
         self.config = config
         self.stats = FaultStats()
-        self._streams = streams
         self._dns = streams.get("faults:dns")
         self._net = streams.get("faults:net")
         self._http = streams.get("faults:http")
@@ -172,8 +153,11 @@ class FaultPlan:
         #: plan so retries under chaos replay exactly).
         self.retry_rng = streams.get("faults:retry-jitter")
         self._suppress = 0
-        #: Lower-cased poison set, precomputed for the per-name check.
-        self._poison = frozenset(name.lower() for name in config.poison_fqdns)
+        #: Lower-cased poison set, precomputed for the sweep's per-name
+        #: check.  Poison is not part of :attr:`FaultConfig.any_active`:
+        #: it fails single names, never the data plane, so the fused
+        #: sampling path stays eligible.
+        self.poison = frozenset(name.lower() for name in config.poison_fqdns)
 
     @classmethod
     def from_seed(cls, config: FaultConfig, seed: int) -> "FaultPlan":
@@ -251,53 +235,6 @@ class FaultPlan:
         if roll < self.config.http_503_rate + self.config.http_429_rate:
             self.stats.count(HTTP_429)
             return "429"
-        return None
-
-    # -- process layer (sweep workers) -----------------------------------
-
-    def worker_fault(self, shard_index: int) -> Optional[str]:
-        """Process fault for one shard span's first dispatch.
-
-        Returns ``"crash"`` (the worker dies by SIGKILL mid-shard),
-        ``"hang"`` (the worker stops making progress and must be reaped
-        at the supervisor's deadline) or ``None``.  Each shard index
-        draws from its own stream (``faults:worker:<index>``), the same
-        seeding discipline as the data-plane streams: one fault seed
-        replays the exact same worker storm for a fixed worker count,
-        and a shard's draw sequence never perturbs its neighbours'.
-
-        The supervisor consults this once per span — on the span's
-        first dispatch only — so a random worker fault costs exactly
-        one re-dispatch and can never exhaust a span's retry budget;
-        only deterministic poison (:meth:`poison_hit`) survives
-        retries and reaches quarantine.
-        """
-        config = self.config
-        if self._suppress or not config.worker_active:
-            return None
-        if config.worker_crash_rate <= 0 and config.worker_hang_rate <= 0:
-            return None
-        roll = self._streams.get(f"faults:worker:{shard_index}").random()
-        if roll < config.worker_crash_rate:
-            self.stats.count(WORKER_CRASH)
-            return "crash"
-        if roll < config.worker_crash_rate + config.worker_hang_rate:
-            self.stats.count(WORKER_HANG)
-            return "hang"
-        return None
-
-    def poison_hit(self, fqdns) -> Optional[str]:
-        """First deterministically poisonous name in ``fqdns``, if any.
-
-        Consulted by the *worker* (never the supervising parent, which
-        must discover poison the hard way — through bisection): a hit
-        means this worker dies mid-shard on every attempt.
-        """
-        if not self._poison:
-            return None
-        for fqdn in fqdns:
-            if fqdn.lower() in self._poison:
-                return fqdn
         return None
 
     def truncated_body(self, host: str) -> bool:

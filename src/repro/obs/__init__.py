@@ -19,13 +19,13 @@ Enable it by installing real sinks::
         finally:
             OBS.reset()
 
-Forked shard workers swap in their own registry/buffer-tracer pair for
-the duration of the shard (:mod:`repro.parallel.shard`) and ship both
-home in the :class:`ShardResult`; the parent reduces registries with
+Forked analysis-pool workers (:mod:`repro.analysis.engine`) swap in
+their own registry/buffer-tracer pair for the duration of a task and
+ship both home in the result frame; the parent reduces registries with
 the associative :meth:`MetricsRegistry.merge_from` and replays trace
-events in shard order, so worker count never changes the totals.  The
-series recorder lives parent-side only: it snapshots the *merged*
-registry at week boundaries, after every shard effect has landed.
+events in registry order, so the pool size never changes the totals.
+The series recorder lives parent-side only: it snapshots the registry
+at week boundaries.
 """
 
 from __future__ import annotations

@@ -2,23 +2,22 @@
 
 ``--trace-format chrome`` turns the JSONL span stream into the Chrome
 trace-event JSON that ``chrome://tracing`` and https://ui.perfetto.dev
-load directly, which is the fastest way to *see* a sweep: shard lanes
-fanning out under the monitor-sweep stage, the analysis pool chewing
-through tasks, checkpoint writes punctuating weeks.
+load directly, which is the fastest way to *see* a run: the weekly
+sweep on its own lane under the monitor-sweep stage, the analysis pool
+chewing through tasks, checkpoint writes punctuating weeks.
 
 Lane mapping — the trace-event ``pid``/``tid`` pair — follows the
 process topology the run actually had:
 
 * the main pipeline (stage spans, checkpoints) → pid 1 / tid 1;
 * ``sweep.shard`` spans and everything nested under them → pid 1 /
-  tid ``10 + shard_index`` (forked shard workers share the parent's
-  address-space snapshot, so "threads of the main process" reads
-  truthfully even though they were processes);
+  tid ``10 + shard_index`` (the sweep runs in-process and opens one
+  shard span, index 0, so it lands on tid 10);
 * ``analysis.*`` spans → pid 2 (the analysis pool is a separate
   fan-out phase) with one tid per task, in first-seen order.
 
 A span's lane comes from walking its **path id**: a span whose id
-contains a ``sweep.shard#3`` segment belongs to shard 3's lane no
+contains a ``sweep.shard#0`` segment belongs to the sweep's lane no
 matter how deeply nested it is.  That information only exists because
 ids are causal paths — the flat pre-tree stream couldn't have been
 laned.

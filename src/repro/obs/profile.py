@@ -122,10 +122,7 @@ def _sweep_table(result, metrics) -> str:
         ("rescan FQDNs skipped", counters.get("rescan.skipped", 0)),
         ("rescan full-scan fallbacks", counters.get("rescan.fallbacks", 0)),
         ("store posting evictions", counters.get("store.postings.evictions", 0)),
-        ("supervisor worker crashes", counters.get("supervisor.worker_crashes", 0)),
-        ("supervisor worker hangs", counters.get("supervisor.worker_hangs", 0)),
-        ("supervisor shard retries", counters.get("supervisor.shard_retries", 0)),
-        ("supervisor poison quarantined", counters.get("supervisor.poison_quarantined", 0)),
+        ("sweep dead letters", counters.get("sweep.dead_letters", 0)),
         ("checkpoint writes", counters.get("checkpoint.writes", 0)),
         ("checkpoint corrupt skipped", counters.get("checkpoint.corrupt_skipped", 0)),
     ]
@@ -133,8 +130,7 @@ def _sweep_table(result, metrics) -> str:
     report = getattr(executor, "last_report", None)
     if report is not None:
         rows.append(("last sweep wall s (elapsed)", f"{report.wall_seconds:.3f}"))
-        rows.append(("last sweep cpu s (summed shards)", f"{report.cpu_seconds:.3f}"))
-        rows.append(("last sweep mode", report.mode))
+        rows.append(("last sweep cpu s", f"{report.cpu_seconds:.3f}"))
     return render_table(
         ["metric", "value"], rows, title="\nSweep path and detector"
     )
@@ -220,10 +216,7 @@ def _resource_table(series) -> str:
 
 def render_profile(result, metrics, tracer, series=None) -> str:
     """The full profile report for one finished scenario run."""
-    title = (
-        f"Observability profile ({result.weeks_run} weeks, "
-        f"{getattr(result.config, 'workers', 1)} worker(s))"
-    )
+    title = f"Observability profile ({result.weeks_run} weeks)"
     sections = [
         title,
         "=" * len(title),

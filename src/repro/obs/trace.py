@@ -12,18 +12,17 @@ Spans form a **causal tree**.  The currently-open span is tracked in a
 open becomes its child and records the parent's id.  Ids are *path
 ids* — ``parent-id/name#seq`` — assigned from deterministic state
 only: the per-parent sequence number of that span name, or an explicit
-``seq=`` the call site derives from simulation structure (shard
-spans pass their shard index).  That makes the id-bearing projection a
-pure function of the seed and worker topology: a forked shard worker
-inherits the parent's open-span context through ``os.fork`` and builds
-the exact id an inline run of the same shard would have built.
+``seq=`` the call site derives from simulation structure (the sweep's
+one shard span passes 0).  That makes the id-bearing projection a pure
+function of the seed: a forked analysis worker inherits the parent's
+open-span context through the fork and builds the exact id a serial
+run of the same task would have built.
 
-Forked shard workers cannot share the parent's file handle, so they
+Forked analysis workers cannot share the parent's file handle, so they
 trace into a :class:`BufferTracer` (:meth:`Tracer.fork_buffer`) whose
-events ride home in the :class:`~repro.parallel.shard.ShardResult` and
-are replayed by the parent **in shard order** — the same discipline as
-every other shard effect, and what keeps the event sequence (ids
-included) deterministic across worker counts.
+events ride home in the task's result frame and are replayed by the
+parent **in registry order** — what keeps the event sequence (ids
+included) deterministic across pool sizes.
 
 Sampling (``sample_every=N``) keeps every Nth span *per span name*, a
 deterministic rule that thins the JSONL without desynchronising
@@ -48,13 +47,11 @@ from typing import Dict, List, Optional
 #: same-seed traces for determinism.
 WALL_FIELDS = ("wall", "dur_ms")
 
-#: Span names whose *count* is a function of the worker topology, not
-#: the seed: one ``sweep.shard`` span exists per shard, and the
-#: supervisor's recovery spans exist only where workers were dispatched.
-#: :func:`parity_projection` drops them (exactly as the registry parity
-#: tests drop the ``sweep.shards.*`` counter split) so traces can be
-#: compared *across* worker counts and executor choices.
-TOPOLOGY_SPAN_PREFIXES = ("sweep.shard", "supervisor.")
+#: Span names that depend on the sweep executor, not the seed: the
+#: production sweep opens one ``sweep.shard`` span per week, the serial
+#: reference sweep none.  :func:`parity_projection` drops them so traces
+#: can be compared across executor choices.
+TOPOLOGY_SPAN_PREFIXES = ("sweep.shard",)
 
 #: The process-wide open-span context.  One tracer is active at a time
 #: (the :data:`repro.obs.OBS` singleton), so the variable is shared by
@@ -224,9 +221,9 @@ class Tracer:
         """Open a span; use as a context manager.
 
         ``seq`` overrides the per-parent sequence number in the span's
-        path id.  Call sites whose spans run in forked workers pass a
-        simulation-derived value (the shard index) so the id is the
-        same whether the span ran forked, inline, or after a replay.
+        path id.  Call sites pass a simulation-derived value (the sweep
+        passes 0 for its shard span) so the id does not depend on how
+        many sibling spans happened to open first.
         """
         return _Span(self, name, sim, week, seq, attrs)
 
@@ -272,20 +269,20 @@ class Tracer:
         payload.update(registry.as_dict())
         self._write(payload)
 
-    # -- shard plumbing ---------------------------------------------------
+    # -- fork plumbing ----------------------------------------------------
 
     def fork_buffer(self) -> "BufferTracer":
-        """A child-side tracer buffering events for the shard pipe.
+        """A child-side tracer buffering events for the result pipe.
 
         The open-span context rides the fork itself (:data:`_CURRENT_SPAN`
         is ordinary interpreter state), so spans the child opens nest
         under the parent's in-flight span with the same path ids an
-        inline run would assign.
+        serial run would assign.
         """
         return BufferTracer(sample_every=self.sample_every)
 
     def replay(self, events: List[Dict]) -> None:
-        """Write a shard's buffered events (already sampled and id-stamped
+        """Write a child's buffered events (already sampled and id-stamped
         child-side) and fold their spans into the aggregates."""
         for payload in events:
             if payload.get("type") == "span":
@@ -353,9 +350,9 @@ class Tracer:
 class BufferTracer(Tracer):
     """A tracer that buffers payloads instead of writing them.
 
-    Used by forked shard workers: the parent replays ``events`` in
-    shard order, so the final JSONL is identical to what an inline run
-    would have written (wall fields aside).  Also the capture backend
+    Used by forked analysis workers: the parent replays ``events`` in
+    registry order, so the final JSONL is identical to what a serial
+    run would have written (wall fields aside).  Also the capture backend
     of the Chrome export: the CLI buffers the whole run and converts
     the events at exit.
     """
@@ -385,7 +382,7 @@ def sim_projection(events: List[Dict]) -> List[Dict]:
 
     What remains — names, causal ids and parent ids, sim timestamps,
     deterministic attrs, the metrics snapshot — is a pure function of
-    the seed and worker topology; two same-seed runs of the same
+    the seed and the configuration; two same-seed runs of the same
     configuration must produce equal projections.
     """
     return [
@@ -395,16 +392,14 @@ def sim_projection(events: List[Dict]) -> List[Dict]:
 
 
 def parity_projection(events: List[Dict]) -> List[Dict]:
-    """The topology-invariant slice of the sim projection.
+    """The executor-invariant slice of the sim projection.
 
-    Drops the per-shard spans (their count is the worker count), the
-    supervisor's recovery spans, and the trailing metrics snapshot
-    (whose ``sweep.shards.*`` and cache-split counters are
-    topology-dependent — the registry parity tests exclude the same
-    prefixes).  What survives — the
-    stage, analysis and checkpoint spans with their causal ids — must
-    be byte-identical for one seed across ``--workers`` counts and
-    ``--incremental`` on/off.
+    Drops the sweep's shard spans (the serial reference sweep has
+    none) and the trailing metrics snapshot (whose sweep-path and
+    journal counters depend on the executor and on ``--incremental``).
+    What survives — the stage, analysis and checkpoint spans with their
+    causal ids — must be byte-identical for one seed across sweep
+    executors and ``--incremental`` on/off.
     """
     kept: List[Dict] = []
     for event in events:

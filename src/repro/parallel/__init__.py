@@ -1,11 +1,10 @@
-"""Sharded parallel execution of the weekly monitor sweep.
+"""The weekly monitor sweep.
 
-The monitored-FQDN list is the pipeline's unit of horizontal scale
-(Section 3.2 monitors millions of names weekly).  This package shards
-that list into contiguous slices, samples each under a supervisor —
-inline at the default one worker, in forked workers otherwise — and
-merges the results deterministically in shard order, so a fault-free
-sweep is byte-identical for any worker count.
+Section 3.2 samples every monitored FQDN once a week.  This package
+runs that sweep as one in-process pass over the monitored list
+(:class:`ProcessExecutor`), recording each sample as it is taken and
+isolating failures per name, so a raising name costs one dead letter
+and never a re-sample of its neighbours.
 """
 
 from repro.parallel.executor import (
@@ -13,25 +12,11 @@ from repro.parallel.executor import (
     SweepExecutor,
     SweepReport,
 )
-from repro.parallel.shard import ShardResult, fast_path_eligible, partition
-from repro.parallel.supervisor import (
-    DeadLetter,
-    SupervisedSweep,
-    SupervisorConfig,
-    WorkerFailure,
-    run_shards_supervised,
-)
+from repro.parallel.shard import fast_path_eligible
 
 __all__ = [
-    "DeadLetter",
     "ProcessExecutor",
-    "SupervisedSweep",
-    "SupervisorConfig",
     "SweepExecutor",
     "SweepReport",
-    "ShardResult",
-    "WorkerFailure",
     "fast_path_eligible",
-    "partition",
-    "run_shards_supervised",
 ]

@@ -201,8 +201,8 @@ class PipelineEngine:
                 self.metrics.record_tick(stage.name, elapsed, int(items or 0))
                 if OBS.enabled:
                     # ``cpu_seconds_now`` counts reaped children, so a
-                    # stage that forked shard workers is charged for
-                    # the CPU they burned, not just the parent's share.
+                    # stage that forks workers is charged for the CPU
+                    # they burned, not just the parent's share.
                     OBS.series.record_stage(
                         stage.name, cpu_seconds_now() - cpu0, elapsed
                     )
@@ -244,9 +244,9 @@ class PipelineEngine:
         self.dead_letters.extend(ctx.quarantine)
         if OBS.enabled:
             # Week boundary: snapshot the counter registry so the
-            # series holds this week's deltas.  After the stage loop —
-            # every shard effect has merged by now — and before the
-            # clock advances, so the stamp is the week that just ran.
+            # series holds this week's deltas.  After the stage loop
+            # and before the clock advances, so the stamp is the week
+            # that just ran.
             OBS.series.snapshot(self.week_index, ctx.at, OBS.metrics)
         self.week_index += 1
         self.clock.advance(self.week_step)

@@ -36,7 +36,7 @@ class StageMetrics:
         """A new row summing this stage's counters with ``other``'s.
 
         Field-wise addition, so merging is associative and commutative
-        — per-shard (or per-run) metric registries reduce to the same
+        — per-run metric registries reduce to the same
         totals under any bracketing.
         """
         if other.name != self.name:

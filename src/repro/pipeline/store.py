@@ -18,6 +18,11 @@ long-running collectors actually lose data:
   falling back to the newest intact one.  What it skipped (and why) is
   reported in :attr:`CheckpointStore.last_recovery`.
 
+A third failure is a checkpoint that is intact but stale: its engine
+blob pickles classes an older build had and this one does not.
+:meth:`CheckpointStore.restore_latest` skips such a file the same way,
+naming the unpickling error as the reason.
+
 The store keeps the last ``keep`` checkpoints and rotates older ones
 out, so a corrupted newest file never strands the run: the previous
 snapshot is still on disk.
@@ -31,10 +36,12 @@ import pickle
 import struct
 import tempfile
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, TypeVar
 
 from repro.obs import OBS
-from repro.pipeline.engine import Checkpoint
+from repro.pipeline.engine import Checkpoint, PipelineEngine
+
+T = TypeVar("T")
 
 #: Frame layout: magic, format version, payload length, then the sha256
 #: digest of the payload, then the pickled :class:`Checkpoint`.
@@ -227,13 +234,26 @@ class CheckpointStore:
         evidence) and recorded in :attr:`last_recovery` with the
         validation failure that disqualified them.
         """
+        return self._recover(self.load)
+
+    def restore_latest(self) -> Optional[PipelineEngine]:
+        """The engine of the newest checkpoint that validates and restores.
+
+        Like :meth:`load_latest`, but a file whose engine blob does not
+        unpickle — written by a build whose classes have since moved or
+        gone — is skipped too, with the unpickling error as its reason.
+        """
+        return self._recover(lambda path: _restore(self.load(path)))
+
+    def _recover(self, open_path: Callable[[str], T]) -> Optional[T]:
+        """Newest-first scan: the first path ``open_path`` accepts."""
         report = RecoveryReport()
         self.last_recovery = report
-        recovered: Optional[Checkpoint] = None
+        recovered: Optional[T] = None
         with OBS.tracer.span("checkpoint.recover", dir=self.directory):
             for path in reversed(self.paths()):
                 try:
-                    recovered = self.load(path)
+                    recovered = open_path(path)
                 except CheckpointCorruptError as error:
                     report.skipped.append((os.path.basename(path), str(error)))
                     if OBS.enabled:
@@ -245,3 +265,12 @@ class CheckpointStore:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"CheckpointStore({self.directory!r}, keep={self.keep}, files={len(self.paths())})"
+
+
+def _restore(checkpoint: Checkpoint) -> PipelineEngine:
+    try:
+        return PipelineEngine.restore(checkpoint)
+    except Exception as error:
+        raise CheckpointCorruptError(
+            f"engine blob does not unpickle: {type(error).__name__}: {error}"
+        )

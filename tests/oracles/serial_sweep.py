@@ -1,12 +1,11 @@
-"""The serial sweep: the reference the sharded executor must reproduce.
+"""The serial sweep: the reference the production executor must reproduce.
 
 One in-process pass over the monitored list, sampling every FQDN through
 ``WeeklyMonitor.sample`` and recording each sample into the store as
-soon as it is taken — no shards, no fused sampler, no resolver memo and
-no extraction cache.  This is the seed pipeline's sweep verbatim.
-Production runs :class:`~repro.parallel.executor.ProcessExecutor`; on a
-fault-free world every worker count must export the same bytes as this
-oracle, and at one worker it must match it under faults too.
+soon as it is taken — no fused sampler, no resolver memo and no
+extraction cache.  This is the seed pipeline's sweep verbatim.
+Production runs :class:`~repro.parallel.executor.ProcessExecutor`; it
+must export the same bytes as this oracle, with and without faults.
 """
 
 from __future__ import annotations
@@ -82,48 +81,23 @@ def sweep(
 class SerialExecutor(SweepExecutor):
     """The serial sweep behind the :class:`SweepExecutor` interface."""
 
-    workers = 1
-
     def sweep(
         self, monitor: WeeklyMonitor, fqdns: Sequence[Name], at: datetime
     ) -> SweepReport:
-        client = monitor.client
-        plan = client.fault_plan
         samples0 = monitor.samples_taken
         sitemap0 = monitor.sitemap_fetches
-        retries0 = client.retries_total
-        backoff0 = client.backoff_seconds_total
-        trips0 = client.breaker.trips if client.breaker is not None else 0
-        injected0 = dict(plan.stats.injected) if plan is not None else {}
         started = time.perf_counter()
         cpu0 = time.process_time()
         failures: List[Tuple[Name, str]] = []
         changed = sweep(monitor, fqdns, at, failures=failures)
-        wall = time.perf_counter() - started
-        cpu = time.process_time() - cpu0
         report = SweepReport(
             changed=changed,
             failures=failures,
             samples_taken=monitor.samples_taken - samples0,
             sitemap_fetches=monitor.sitemap_fetches - sitemap0,
-            retries=client.retries_total - retries0,
-            backoff_seconds=client.backoff_seconds_total - backoff0,
-            breaker_trips=(
-                client.breaker.trips - trips0 if client.breaker is not None else 0
-            ),
-            workers=1,
-            mode="serial",
-            shard_sizes=[len(fqdns)],
-            shard_walls=[wall],
-            shard_cpus=[cpu],
-            wall_seconds=wall,
-            cpu_seconds=cpu,
+            wall_seconds=time.perf_counter() - started,
+            cpu_seconds=time.process_time() - cpu0,
         )
-        if plan is not None:
-            for kind, count in plan.stats.injected.items():
-                delta = count - injected0.get(kind, 0)
-                if delta:
-                    report.injected[kind] = delta
         self.last_report = report
         return report
 

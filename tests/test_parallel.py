@@ -1,34 +1,31 @@
-"""Tests for the sharded sweep executor (`repro.parallel`).
+"""Tests for the sweep executor (`repro.parallel`).
 
-Covers the determinism contract (a fault-free sharded run is
-byte-identical to the serial oracle, fork or no fork), the fused
-sampling path's feature parity with ``WeeklyMonitor.sample``, the
-partition/merge algebra, and the extraction cache.
+Covers the determinism contract (the in-process sweep records the same
+store as the serial oracle), the fused sampling path's feature parity
+with ``WeeklyMonitor.sample``, per-name failure isolation (a raising
+name costs one dead letter and no re-sampling), the metrics merge
+algebra, and the extraction cache.
 """
 
 from datetime import datetime, timedelta
 
 import pytest
 
-from repro.core.export import dataset_to_json
 from repro.core.monitoring import (
     ExtractionCache,
     MonitorConfig,
     SnapshotFeatures,
     WeeklyMonitor,
 )
-from repro.core.scenario import ScenarioConfig, run_scenario
+from repro.core.scenario import ScenarioConfig, build_scenario
 from repro.core.stages import MonitorSweepStage
 from repro.dns.records import RRType, ResourceRecord
 from repro.faults.plan import FaultConfig, FaultPlan
 from repro.faults.retry import CircuitBreaker, RetryPolicy
-from repro.parallel import (
-    ProcessExecutor,
-    SweepReport,
-    fast_path_eligible,
-    partition,
-)
-from repro.parallel.shard import _sample_fused, run_shard
+from repro.obs import OBS, BufferTracer, MetricsRegistry, TimeSeriesRecorder
+from repro.parallel import ProcessExecutor, fast_path_eligible
+from repro.parallel import executor as executor_module
+from repro.parallel.shard import _sample_fused
 from repro.pipeline.metrics import PipelineMetrics, StageMetrics
 from repro.sim.clock import SimClock
 from repro.sim.rng import RngStreams
@@ -39,82 +36,7 @@ T0 = datetime(2020, 1, 6)
 WEEK = timedelta(weeks=1)
 
 
-# -- partition -------------------------------------------------------------
-
-
-def test_partition_is_contiguous_balanced_and_order_preserving():
-    items = list(range(10))
-    shards = partition(items, 3)
-    assert [len(s) for s in shards] == [4, 3, 3]
-    assert [x for shard in shards for x in shard] == items
-
-
-def test_partition_with_more_shards_than_items():
-    assert partition([1, 2], 5) == [[1], [2]]
-    assert partition([], 4) == []
-
-
-def test_partition_rejects_bad_shard_count():
-    with pytest.raises(ValueError):
-        partition([1], 0)
-
-
 # -- merge algebra ---------------------------------------------------------
-
-
-def _report(n):
-    return SweepReport(
-        failures=[(f"f{n}.example.com", "timeout")],
-        samples_taken=n,
-        sitemap_fetches=n * 2,
-        retries=n,
-        backoff_seconds=float(n),
-        breaker_trips=1,
-        injected={"dns_servfail": n},
-        cache_hits=n,
-        cache_misses=1,
-        workers=n,
-        mode="inline",
-        shard_sizes=[n],
-        shard_walls=[0.1 * n],
-    )
-
-
-def test_sweep_report_merge_is_associative():
-    a, b, c = _report(1), _report(2), _report(3)
-    left = a.merge(b).merge(c)
-    right = a.merge(b.merge(c))
-    assert left == right
-    assert left.samples_taken == 6
-    assert left.injected == {"dns_servfail": 6}
-    assert left.failures == a.failures + b.failures + c.failures
-    assert left.workers == 3
-
-
-def test_sweep_report_merge_wall_is_max_and_cpu_is_sum():
-    # Regression: merge used to sum wall_seconds, so an N-shard sweep
-    # reported N-fold "elapsed" time.  Wall is elapsed (max under
-    # merge); cpu is the summed per-shard sampling time.
-    a, b = _report(1), _report(2)
-    a.wall_seconds, a.cpu_seconds = 2.0, 2.0
-    b.wall_seconds, b.cpu_seconds = 3.0, 3.0
-    merged = a.merge(b)
-    assert merged.wall_seconds == 3.0
-    assert merged.cpu_seconds == 5.0
-    # Still associative with the third report in either bracketing.
-    c = _report(3)
-    c.wall_seconds, c.cpu_seconds = 1.0, 1.0
-    left, right = a.merge(b).merge(c), a.merge(b.merge(c))
-    assert (left.wall_seconds, left.cpu_seconds) == (3.0, 6.0)
-    assert (right.wall_seconds, right.cpu_seconds) == (3.0, 6.0)
-
-
-def test_sweep_report_merge_marks_mixed_modes():
-    a = _report(1)
-    b = _report(2)
-    b.mode = "fork"
-    assert a.merge(b).mode == "mixed"
-    assert a.merge(_report(3)).mode == "inline"
 
 
 def test_stage_metrics_merge_sums_and_rejects_name_mismatch():
@@ -295,11 +217,9 @@ def _sweep_all(executor, weeks=3, mutate=None):
     return reports, histories
 
 
-@pytest.mark.parametrize("workers,use_fork", [(1, False), (3, False), (3, True)])
-def test_process_executor_matches_serial_store_and_changes(workers, use_fork):
+def test_process_executor_matches_serial_store_and_changes():
     serial_reports, serial_hist = _sweep_all(SerialExecutor())
-    proc = ProcessExecutor(workers=workers, use_fork=use_fork)
-    proc_reports, proc_hist = _sweep_all(proc)
+    proc_reports, proc_hist = _sweep_all(ProcessExecutor())
     assert proc_hist == serial_hist
     for ours, theirs in zip(proc_reports, serial_reports):
         assert [(c[0], c[1]) for c in ours.changed] == [
@@ -310,23 +230,8 @@ def test_process_executor_matches_serial_store_and_changes(workers, use_fork):
         assert ours.sitemap_fetches == theirs.sitemap_fetches
 
 
-def test_forked_sweep_replays_counters_and_observations(tmp_path):
-    internet, fqdns = _monitored_world()
-    monitor = WeeklyMonitor(internet.client)
-    feed = internet.resolver.passive_dns
-    before = len(feed) if feed is not None else None
-    executor = ProcessExecutor(workers=3, use_fork=True)
-    report = executor.sweep(monitor, fqdns, T0)
-    assert executor.last_mode == "fork"
-    assert report.samples_taken == len(fqdns)
-    assert monitor.samples_taken == len(fqdns)
-    if before is not None:
-        # Index + sitemap resolutions were replayed into the parent feed.
-        assert len(feed) >= before
-
-
 def test_extraction_cache_persists_across_sweeps():
-    executor = ProcessExecutor(workers=2, use_fork=False)
+    executor = ProcessExecutor()
     internet, fqdns = _monitored_world()
     monitor = WeeklyMonitor(internet.client)
     executor.sweep(monitor, fqdns, T0)
@@ -337,61 +242,105 @@ def test_extraction_cache_persists_across_sweeps():
     executor.sweep(monitor, fqdns, T0 + WEEK)
     # Steady state: nothing new to extract.
     assert executor.extraction_cache.misses == misses_after_first
-
-
-class _Capturing(ProcessExecutor):
-    """Keeps the shard results each sweep merges, optionally after
-    overwriting their wall times."""
-
-    def __init__(self, *args, wall=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.results = []
-        self._wall = wall
-
-    def _apply(self, monitor, results, forked, at, quarantined=None):
-        if self._wall is not None:
-            for result in results:
-                result.wall_seconds = self._wall
-        self.results = list(results)
-        return super()._apply(monitor, results, forked, at, quarantined)
+    # The cache is lent for the sweep, not left on the monitor.
+    assert monitor.extraction_cache is None
 
 
 def test_inline_sweep_cpu_is_the_sum_of_shard_cpu():
+    # One shard row per sweep, carrying exactly the reported CPU.
     internet, fqdns = _monitored_world()
-    executor = _Capturing(workers=3, use_fork=False)
-    report = executor.sweep(WeeklyMonitor(internet.client), fqdns, T0)
-    assert len(executor.results) == 3
-    assert report.cpu_seconds == sum(r.cpu_seconds for r in executor.results)
-    assert report.shard_cpus == [r.cpu_seconds for r in executor.results]
+    series = TimeSeriesRecorder()
+    OBS.configure(series=series)
+    try:
+        report = ProcessExecutor().sweep(WeeklyMonitor(internet.client), fqdns, T0)
+    finally:
+        OBS.reset()
+    rows = series.shard_rows()
+    assert list(rows) == [0]
+    assert rows[0]["items"] == len(fqdns)
+    assert rows[0]["cpu_s"] == report.cpu_seconds
+    assert 0.0 < report.cpu_seconds
 
 
-def test_forked_sweep_reports_shard_cpu_not_shard_wall():
-    # cpu_seconds is the shards' CPU, not their wall: inflated walls
-    # (a slow pipe or reap) must not move it.
-    internet, fqdns = _monitored_world()
-    executor = _Capturing(workers=3, use_fork=True, wall=100.0)
-    report = executor.sweep(WeeklyMonitor(internet.client), fqdns, T0)
-    assert executor.last_mode == "fork"
-    assert report.shard_walls == [100.0, 100.0, 100.0]
-    assert report.cpu_seconds == sum(r.cpu_seconds for r in executor.results)
-    assert report.cpu_seconds < 100.0
+# -- per-name failure isolation --------------------------------------------
 
 
-def test_process_executor_rejects_bad_worker_count():
-    with pytest.raises(ValueError):
-        ProcessExecutor(workers=0)
+def _counting_sampler(monkeypatch, raise_for=None):
+    """Interpose the fused sampler: log every call, optionally raise."""
+    calls = []
+    real = executor_module._sample_fused
+
+    def sampler(monitor, fqdn, *args, **kwargs):
+        calls.append(fqdn)
+        if fqdn == raise_for:
+            # Fail mid-sample, after the counters already moved.
+            monitor.samples_taken += 1
+            monitor.sitemap_fetches += 1
+            raise RuntimeError(f"extractor bug on {fqdn}")
+        return real(monitor, fqdn, *args, **kwargs)
+
+    monkeypatch.setattr(executor_module, "_sample_fused", sampler)
+    return calls
 
 
-# -- end-to-end determinism ------------------------------------------------
-
-
-def test_sharded_scenario_exports_byte_identical_dataset(tiny_result):
-    baseline = dataset_to_json(tiny_result.dataset, indent=2)
+def test_raising_name_is_one_dead_letter_sampled_once(monkeypatch):
     config = ScenarioConfig.tiny()
-    config.workers = 4
-    result = run_scenario(config)
-    assert isinstance(result.executor, ProcessExecutor)
-    assert dataset_to_json(result.dataset, indent=2) == baseline
+    config.weeks = 4
+    engine = build_scenario(config)
+    engine.run(max_weeks=3)
+    result = engine.payload
+    fqdns = list(result.collector.monitored_sorted)
+    bad = fqdns[len(fqdns) // 2]
+    samples0 = result.monitor.samples_taken
+    calls = _counting_sampler(monkeypatch, raise_for=bad)
+    engine.run(max_weeks=1)
+    # Exactly one sample call per name: nothing is re-sampled.
+    assert calls == fqdns
+    report = result.executor.last_report
+    assert report.dead_letters == [(bad, f"RuntimeError: extractor bug on {bad}")]
+    # The failed name's counter increments were rolled back.
+    assert result.monitor.samples_taken - samples0 == len(fqdns) - 1
+    assert report.samples_taken == len(fqdns) - 1
+    # MonitorSweepStage quarantines it with the exception in the reason.
+    (letter,) = [r for r in engine.dead_letters if r.item == bad]
+    assert letter.stage == "monitor-sweep"
+    assert "RuntimeError" in letter.reason
+    # The failed name kept its last trusted state; its neighbours moved on.
+    swept_at = config.start + 3 * WEEK
+    assert result.monitor.store.history(bad)[-1].last_seen < swept_at
+    assert result.monitor.store.history(fqdns[0])[-1].last_seen == swept_at
+
+
+def test_poison_name_is_dead_lettered_and_others_sampled_once_in_order(monkeypatch):
+    internet, fqdns = _monitored_world()
+    poison = fqdns[2]
+    internet.client.fault_plan = FaultPlan.from_seed(
+        FaultConfig(enabled=True, poison_fqdns=(poison,)), 11
+    )
+    monitor = WeeklyMonitor(internet.client)
+    # Poison fails single names, never the data plane.
+    assert fast_path_eligible(monitor)
+    calls = _counting_sampler(monkeypatch)
+    tracer = BufferTracer()
+    OBS.configure(metrics=MetricsRegistry(), tracer=tracer)
+    try:
+        report = ProcessExecutor().sweep(monitor, fqdns, T0)
+    finally:
+        OBS.reset()
+    healthy = [f for f in fqdns if f != poison]
+    assert calls == healthy
+    assert report.dead_letters == [
+        (poison, f"PoisonedName: poisoned subject {poison}")
+    ]
+    assert monitor.samples_taken == len(healthy)
+    assert monitor.store.latest(poison) is None
+    # The traceback goes to the trace, not the quarantine reason.
+    (event,) = [e for e in tracer.events if e["name"] == "sweep.dead_letter"]
+    assert event["fqdn"] == poison and "PoisonedName" in event["traceback"]
+    assert [pair[0].fqdn for pair in report.changed] == healthy
+
+
+# -- end-to-end defaults ---------------------------------------------------
 
 
 def test_monitor_stage_defaults_to_one_inline_worker():
@@ -403,17 +352,13 @@ def test_monitor_stage_defaults_to_one_inline_worker():
 
     stage = MonitorSweepStage(monitor, Collector())
     assert isinstance(stage._executor, ProcessExecutor)
-    assert stage._executor.workers == 1
-    stage._executor.sweep(monitor, fqdns, T0)
-    # One shard never forks, whatever the machine's CPU count.
-    assert stage._executor.last_mode == "inline"
-    assert stage._executor.last_report.shard_sizes == [len(fqdns)]
+    report = stage._executor.sweep(monitor, fqdns, T0)
+    assert stage._executor.last_report is report
+    assert report.samples_taken == len(fqdns)
 
 
 def test_default_scenario_sweeps_with_one_inline_worker(tiny_result):
     executor = tiny_result.executor
     assert isinstance(executor, ProcessExecutor)
-    assert executor.workers == 1
-    assert executor.last_mode == "inline"
     # The fused path's extraction cache is live on the default path.
     assert executor.extraction_cache.hits > 0

@@ -118,14 +118,14 @@ def test_attacker_controlled_title_cannot_break_signatures(internet):
     assert all(isinstance(t, str) for t in page_tokens(features))
 
 
-# -- worker-process robustness (fork plumbing) ------------------------------
+# -- fork plumbing and sweep failure isolation ------------------------------
 
 
 def test_fork_failure_leaks_no_file_descriptors(monkeypatch):
     """Regression: a failing ``os.fork`` used to leak both pipe fds."""
     import os
     import pytest
-    from repro.parallel.shard import fork_with_pipe
+    from repro.analysis.engine import fork_with_pipe
 
     def count_fds():
         return len(os.listdir("/proc/self/fd"))
@@ -142,21 +142,16 @@ def test_fork_failure_leaks_no_file_descriptors(monkeypatch):
     assert count_fds() == before
 
 
-def test_supervised_sweep_quarantines_unsampleable_name(internet):
-    """The supervisor turns a poison input into a dead letter, not a crash."""
-    from repro.core.monitoring import WeeklyMonitor as Monitor
-    from repro.parallel import SupervisorConfig, run_shards_supervised
-    from repro.parallel.shard import partition
+def test_sweep_dead_letters_unsampleable_name(internet):
+    """The sweep turns an unsampleable input into a dead letter, not a crash."""
+    from repro.parallel import ProcessExecutor
 
-    monitor = Monitor(internet.client)
+    monitor = WeeklyMonitor(internet.client)
     fqdns = ["ok0.acme.com", "ok1.acme.com", None, "ok2.acme.com"]
-    shards = partition(fqdns, 2)
-    outcome = run_shards_supervised(
-        monitor, shards, T0, None, SupervisorConfig(), forked=True
-    )
-    assert [d.fqdn for d in outcome.quarantined] == [None]
-    assert outcome.quarantined[0].shard_index == 1
-    # The dead letter names the shard and the slice its worker died on.
-    assert "shard 1 (names[2:3], 1 FQDNs)" in outcome.quarantined[0].reason
-    sampled = sum(len(r.sampled) + len(r.failures) for r in outcome.results)
-    assert sampled == len(fqdns) - 1
+    report = ProcessExecutor().sweep(monitor, fqdns, T0)
+    ((letter, reason),) = report.dead_letters
+    assert letter is None
+    # The reason names the exception the sample raised.
+    assert reason.startswith("AttributeError")
+    assert monitor.samples_taken == len(fqdns) - 1
+    assert len(report.changed) + len(report.failures) == len(fqdns) - 1

@@ -1,7 +1,7 @@
 """Differential check: the default sweep against the serial oracle.
 
-Each case runs the tiny scenario twice: once as built (one inline
-shard of ``ProcessExecutor``: the fused sampler, resolver memo and
+Each case runs the tiny scenario twice: once as built (the in-process
+``ProcessExecutor``: the fused sampler, resolver memo and
 extraction cache on a fault-free world, ``WeeklyMonitor.sample`` under
 faults) and once with the sweep stage swapped for the serial oracle.
 Both runs must export byte-identical ``--export`` datasets and
