@@ -8,15 +8,26 @@ sizes, language, keywords, external references) and deduplicated into
 content *states*: a new snapshot is stored only when something
 observable changed, which is both how a real pipeline controls volume
 and what change detection consumes.
+
+:meth:`WeeklyMonitor.sample` is the one sampler, in every world.  A
+sample whose state provably equals the latest stored one comes back as
+a *touch marker* (the bare FQDN) that the sweep turns into
+:meth:`SnapshotStore.touch`; anything else is one
+:class:`SnapshotFeatures` construction.  Only the transport branches:
+on a quiescent world (:func:`fast_path_eligible`) one resolution serves
+the index and the sitemap straight off the routed host, and under any
+live fault, breaker, retry budget or ``prefer_https`` both requests go
+through :meth:`HttpClient.fetch` so every resilience seam draws as it
+always has.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.core.keywords import extract_keywords
 from repro.core.sigindex import (
@@ -26,10 +37,14 @@ from repro.core.sigindex import (
     state_tokens,
 )
 from repro.dns.names import Name
+from repro.dns.records import RRType
+from repro.dns.resolver import ResolutionStatus, Resolver
+from repro.dns.zone import ZONE_SET_KEY
 from repro.faults.retry import RetryPolicy
 from repro.obs import OBS
 from repro.web.client import FetchOutcome, FetchStatus, HttpClient
 from repro.web.html import parse_html
+from repro.web.http import HttpRequest
 from repro.web.sitemap import parse_sitemap
 
 #: Monitor requests carry a crawler-like UA: the paper fetched pages the
@@ -252,13 +267,6 @@ class ExtractionCache:
     hits: int = 0
     misses: int = 0
 
-    def merge(self, other: "ExtractionCache") -> None:
-        """Fold ``other``'s entries and counters into this cache."""
-        self.html.update(other.html)
-        self.sitemap.update(other.sitemap)
-        self.hits += other.hits
-        self.misses += other.misses
-
 
 @dataclass(frozen=True)
 class TouchEntry:
@@ -329,6 +337,110 @@ class TouchLedger:
         return len(self._entries)
 
 
+#: Enum ``.value`` reads hoisted out of the per-name sampler — each is a
+#: descriptor call per access, and a sample needs several.
+_OK = FetchStatus.OK.value
+_DNS_ERROR = FetchStatus.DNS_ERROR.value
+_CONNECTION_FAILED = FetchStatus.CONNECTION_FAILED.value
+_HTTP_ERROR = FetchStatus.HTTP_ERROR.value
+#: Fetch status of a resolution that yields no address (DNS_ERROR
+#: otherwise), as ``HttpClient.fetch`` reports it.
+_DNS_FAILURES = {
+    ResolutionStatus.NXDOMAIN: FetchStatus.DNS_NXDOMAIN.value,
+    ResolutionStatus.TIMEOUT: FetchStatus.TIMEOUT.value,
+}
+
+#: The :class:`SnapshotFeatures` fields extracted from the index body:
+#: an unchanged body carries them over from the latest stored state.
+_HTML_FIELDS = (
+    "html_size", "title", "lang", "generator", "keywords", "meta_keywords",
+    "external_urls", "script_srcs", "download_paths", "onclick_count",
+    "has_meta_keywords",
+)
+
+#: Body → truncated sha256 memo.  Sites store page bodies as strings
+#: and hand back the *same* object until the content changes, so the
+#: steady-state lookup is an identity hit; a changed body is a new
+#: string and misses.  sha256 is a pure function of the text, so even
+#: an equal-but-distinct string mapping to the cached digest is
+#: correct.  Bounded: cleared wholesale when it outgrows the cap.
+_HASH_MEMO: Dict[str, str] = {}
+_HASH_MEMO_MAX = 4096
+
+
+def _body_hash(body: str) -> str:
+    cached = _HASH_MEMO.get(body)
+    if cached is None:
+        if len(_HASH_MEMO) >= _HASH_MEMO_MAX:
+            _HASH_MEMO.clear()
+        cached = hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
+        _HASH_MEMO[body] = cached
+    return cached
+
+
+def _touch_entry(
+    resolver: Resolver, fqdn: Name, ip: str, host, previous: SnapshotFeatures
+) -> Optional[TouchEntry]:
+    """Build the :class:`TouchEntry` proving a direct touch outcome.
+
+    Captures every revision-journal subject the sample's outcome
+    depends on: the DNS names the resolution walked (exact and wildcard
+    keys) plus the zone-set key, the edge route and network binding the
+    response came through, and the journal-adopted site whose content
+    was hashed.  While none of those subjects move, the observable
+    state provably equals ``previous.state_key()``.  Entries are plain
+    data, so they survive checkpoint pickling.
+    """
+    site_for = getattr(host, "site_for", None)
+    if site_for is None:
+        return None
+    site_key = getattr(site_for(fqdn), "journal_key", None)
+    if site_key is None:
+        # Unadopted content (no provider bound it to the journal) has
+        # no change signal; it must keep taking the full sample.
+        return None
+    res_entry = resolver.memo_entry(fqdn, RRType.A)
+    if res_entry is None:
+        return None
+    deps = [("dns", ZONE_SET_KEY)]
+    for _zone, name, _ver, wkey, _wver in Resolver.memo_touched(res_entry):
+        deps.append(("dns", name))
+        if wkey is not None:
+            deps.append(("dns", wkey))
+    deps.append(("web", fqdn.lower()))
+    deps.append(("net", ip))
+    deps.append(("site", site_key))
+    observed = tuple(
+        record
+        for group in Resolver.memo_observed(res_entry)
+        for record in group
+    )
+    return TouchEntry(
+        fqdn=fqdn,
+        deps=tuple(deps),
+        state_key=previous.state_key(),
+        observed=observed,
+    )
+
+
+def fast_path_eligible(monitor: "WeeklyMonitor") -> bool:
+    """Whether samples may take the direct transport.
+
+    The direct transport skips the client's fault/breaker/retry/TLS
+    machinery, so it is only taken when none of that machinery can
+    fire: no active fault classes, no breaker, single-attempt retry
+    policy, plain HTTP.
+    """
+    client = monitor.client
+    plan = client.fault_plan
+    return (
+        not monitor.config.prefer_https
+        and client.breaker is None
+        and monitor.config.retry.max_attempts == 1
+        and (plan is None or not plan.config.any_active)
+    )
+
+
 class WeeklyMonitor:
     """Takes the weekly samples and feeds the store."""
 
@@ -363,73 +475,176 @@ class WeeklyMonitor:
         """The HTTP client the monitor samples through."""
         return self._client
 
-    def sample(self, fqdn: Name, at: datetime) -> SnapshotFeatures:
-        """One weekly sample: index fetch, plus sitemap when warranted."""
+    def sample(
+        self,
+        fqdn: Name,
+        at: datetime,
+        direct: Optional[bool] = None,
+        ledger: Optional[TouchLedger] = None,
+    ) -> Union[SnapshotFeatures, Name]:
+        """One weekly sample: index fetch, plus sitemap when warranted.
+
+        Returns the bare ``fqdn`` (a *touch marker*) instead of features
+        when the observed state provably equals the latest stored state:
+        same resolution triple, an OK fetch with the same HTTP status
+        and body hash, and carried (already-fetched) sitemap fields —
+        exactly the fields of ``SnapshotFeatures.state_key``, so
+        ``SnapshotStore.record`` would deduplicate the sample anyway.
+        The caller extends the stored state's window with
+        :meth:`SnapshotStore.touch`.  Otherwise the features are built
+        in one construction.
+
+        ``direct`` picks the transport (default:
+        :func:`fast_path_eligible`).  The direct transport resolves
+        once and serves the index and the sitemap straight off the
+        routed host — only valid while the fault, breaker, retry and
+        TLS seams are quiescent.  Otherwise both requests go through
+        ``HttpClient.fetch``, each with its own resolution, so every
+        seam draws exactly as a plain client fetch does.
+
+        With a ``ledger`` (incremental sweeps) a direct touch marker
+        mints a :class:`TouchEntry` proof so future sweeps can skip the
+        name while its journal dependencies stay put; any other touch
+        drops the name's old proof, which the journal has shown stale.
+        """
         self.samples_taken += 1
         if OBS.enabled:
             OBS.metrics.inc("monitor.samples")
+        if direct is None:
+            direct = fast_path_eligible(self)
         headers = {"User-Agent": self.config.user_agent}
-        outcome, scheme = self._fetch_index(fqdn, at, headers)
-        resolution = outcome.resolution
-        features = SnapshotFeatures(
-            fqdn=fqdn,
-            at=at,
-            dns_status=resolution.status.value if resolution else "ERROR",
-            cname_chain=tuple(resolution.cname_chain) if resolution else (),
-            addresses=tuple(resolution.addresses) if resolution else (),
-            fetch_status=outcome.status.value,
-            attempts=outcome.attempts,
-            scheme=scheme,
-        )
-        if not outcome.ok:
-            if outcome.response is not None:
-                # 5xx/429: record the code so the error class survives
-                # into the stored state even though no body is trusted.
-                features = replace(features, http_status=outcome.response.status)
-            return features
-        body = outcome.response.body
-        body_hash = hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
+        if direct:
+            resolution = self._client.resolver.resolve(fqdn, at=at)
+            addresses = tuple(resolution.addresses)
+            fetch_status, response, host = self._serve_index(
+                fqdn, resolution, addresses, headers
+            )
+            attempts, scheme = 1, "http"
+        else:
+            outcome, scheme = self._fetch_index(fqdn, at, headers)
+            resolution = outcome.resolution
+            addresses = tuple(resolution.addresses)
+            fetch_status, response, host = outcome.status.value, outcome.response, None
+            attempts = outcome.attempts
+        dns_status = resolution.status.value
+        cname_chain = tuple(resolution.cname_chain)
+        if fetch_status != _OK:
+            # A 5xx/429 keeps its code so the error class survives into
+            # the stored state even though no body is trusted.
+            return SnapshotFeatures(
+                fqdn=fqdn,
+                at=at,
+                dns_status=dns_status,
+                cname_chain=cname_chain,
+                addresses=addresses,
+                fetch_status=fetch_status,
+                http_status=response.status if response is not None else 0,
+                attempts=attempts,
+                scheme=scheme,
+            )
+        http_status = response.status
+        body = response.body
+        body_hash = _body_hash(body)
         previous = self.store.latest(fqdn)
         if previous is not None and previous.html_hash == body_hash:
-            # Unchanged content: reuse the parsed features rather than
-            # re-parsing (the stored state dedup makes this the common
-            # case, as in a real pipeline's content-addressed store).
-            features = replace(
-                previous, at=at,
-                dns_status=features.dns_status,
-                cname_chain=features.cname_chain,
-                addresses=features.addresses,
-                fetch_status=features.fetch_status,
-                attempts=features.attempts,
-                scheme=features.scheme,
-            )
+            if (
+                previous.fetch_status == _OK
+                and previous.http_status == http_status
+                and previous.dns_status == dns_status
+                and previous.cname_chain == cname_chain
+                and previous.addresses == addresses
+                and previous.sitemap_count >= 0
+            ):
+                if ledger is not None:
+                    entry = (
+                        _touch_entry(
+                            self._client.resolver, fqdn, addresses[0], host,
+                            previous,
+                        )
+                        if direct
+                        else None
+                    )
+                    if entry is not None:
+                        ledger.put(fqdn, entry)
+                    else:
+                        ledger.invalidate(fqdn)
+                return fqdn
+            # Unchanged content: carry the stored extraction (and the
+            # status it was fetched with) rather than re-parsing.
+            http_status = previous.http_status
+            html = {name: getattr(previous, name) for name in _HTML_FIELDS}
         else:
-            features = self._with_html_features(
-                features, outcome.response.status, body, body_hash
-            )
-        # Second (conditional) request: the sitemap, fetched only when
-        # the page is up — the paper's "if we cannot establish an abuse
-        # with confidence" follow-up, bounded to 2 requests per FQDN.
-        if previous is None or previous.html_hash != features.html_hash or previous.sitemap_count < 0:
-            features = self._with_sitemap_features(features, fqdn, at, headers, scheme)
+            html = self._html_fields(body, body_hash)
+        if previous is None or previous.html_hash != body_hash or previous.sitemap_count < 0:
+            # Second (conditional) request: the sitemap, fetched only
+            # when the page is up and new — the paper's "if we cannot
+            # establish an abuse with confidence" follow-up, bounded to
+            # two requests per FQDN.
+            sitemap = self._sample_sitemap(fqdn, at, headers, scheme, host)
         else:
-            features = replace(
-                features,
-                sitemap_size=previous.sitemap_size,
-                sitemap_count=previous.sitemap_count,
-                sitemap_sample=previous.sitemap_sample,
+            sitemap = (
+                previous.sitemap_size, previous.sitemap_count,
+                previous.sitemap_sample,
             )
-        return features
+        return SnapshotFeatures(
+            fqdn=fqdn,
+            at=at,
+            dns_status=dns_status,
+            cname_chain=cname_chain,
+            addresses=addresses,
+            fetch_status=_OK,
+            http_status=http_status,
+            html_hash=body_hash,
+            sitemap_size=sitemap[0],
+            sitemap_count=sitemap[1],
+            sitemap_sample=sitemap[2],
+            attempts=attempts,
+            scheme=scheme,
+            **html,
+        )
+
+    def extend_if_clean(self, fqdn: Name, at: datetime, changed) -> bool:
+        """Extend a clean name's window from its touch-ledger proof.
+
+        True means the name is provably unchanged: it holds a ledger
+        entry, none of the entry's journal dependencies is in
+        ``changed`` (the subjects moved since the ledger's cursor), and
+        the stored state the entry extends is still current.  The only
+        side effects are the passive-DNS observations the skipped
+        resolution would have produced, replayed by value, plus the
+        sample counter; the caller extends the stored state's window.
+        """
+        entry = self.touch_ledger.get(fqdn)
+        if entry is None:
+            return False
+        if changed and not changed.isdisjoint(entry.deps):
+            if OBS.enabled:
+                OBS.metrics.inc("journal.dirty")
+            return False
+        latest = self.store.latest(fqdn)
+        if latest is None or latest.state_key() != entry.state_key:
+            if OBS.enabled:
+                OBS.metrics.inc("journal.dirty")
+            return False
+        feed = self._client.resolver.passive_dns
+        if feed is not None:
+            for record in entry.observed:
+                feed.observe(record, at)
+        self.samples_taken += 1
+        return True
+
+    # -- transports ------------------------------------------------------------------
 
     def _fetch_index(
         self, fqdn: Name, at: datetime, headers: Dict[str, str]
     ) -> Tuple[FetchOutcome, str]:
-        """The index fetch, with scheme selection.
+        """The index fetch through the client, with scheme selection.
 
         With ``prefer_https`` the HTTPS attempt comes first; a TLS
         failure (no or invalid certificate) falls back to plain HTTP —
         any other HTTPS outcome, success or failure, is authoritative.
-        Returns the outcome and the scheme it was fetched over.
+        The fallback pair counts as one logical index probe.  Returns
+        the outcome and the scheme it was fetched over.
         """
         if self.config.prefer_https:
             outcome = self._client.fetch(
@@ -444,34 +659,78 @@ class WeeklyMonitor:
         )
         return outcome, "http"
 
-    # -- feature builders ------------------------------------------------------------
+    def _serve_index(self, fqdn: Name, resolution, addresses, headers):
+        """The direct index fetch over an already-taken resolution.
 
-    def _with_html_features(
-        self,
-        features: SnapshotFeatures,
-        status: int,
-        body: str,
-        body_hash: Optional[str] = None,
-    ) -> SnapshotFeatures:
-        if body_hash is None:
-            body_hash = hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
-        cache = self.extraction_cache
-        if cache is not None:
-            cached = cache.html.get(body_hash)
-            if cached is not None:
-                cache.hits += 1
-                if OBS.enabled:
-                    OBS.metrics.inc("extraction.html.hits")
-                return replace(
-                    features, http_status=status, html_hash=body_hash, **cached
+        ``HttpClient.fetch`` with its fault, breaker, retry and TLS
+        seams elided (quiescent by :func:`fast_path_eligible`).
+        Returns ``(fetch_status, response, host)``: ``response`` is set
+        for OK and HTTP-error answers, ``host`` when the address routed
+        to a web host.
+        """
+        status = resolution.status
+        if status is not ResolutionStatus.NOERROR or not resolution.records:
+            return _DNS_FAILURES.get(status, _DNS_ERROR), None, None
+        host = self._client.network.host_at(addresses[0])
+        if host is None or not hasattr(host, "serve"):
+            return _CONNECTION_FAILED, None, None
+        # ``headers`` is shared, not copied: every in-tree handler
+        # treats the request as read-only.
+        response = host.serve(
+            HttpRequest(host=fqdn, path="/", scheme="http", headers=headers)
+        )
+        if response.status >= 500 or response.status == 429:
+            return _HTTP_ERROR, response, host
+        return _OK, response, host
+
+    def _sample_sitemap(
+        self, fqdn: Name, at: datetime, headers: Dict[str, str], scheme: str, host
+    ) -> Tuple[int, int, Tuple[str, ...]]:
+        """``(size, count, sample)`` of the sitemap, ``(-1, -1, ())`` on failure.
+
+        With a ``host`` (the direct transport) the sitemap rides the
+        index resolution: nothing mutates the world mid-sweep, so
+        re-resolving would return the same route.  Any non-5xx/429
+        response body — a 404 page included — is the observation.
+        """
+        self.sitemap_fetches += 1
+        if host is not None:
+            response = host.serve(
+                HttpRequest(
+                    host=fqdn, path="/sitemap.xml", scheme="http", headers=headers
                 )
-            cache.misses += 1
+            )
+            if response.status >= 500 or response.status == 429:
+                return -1, -1, ()
+        else:
+            outcome = self._client.fetch(
+                fqdn, path="/sitemap.xml", scheme=scheme, at=at, headers=headers,
+                retry=self.config.retry,
+            )
+            if not outcome.ok:
+                return -1, -1, ()
+            response = outcome.response
+        return self.extract_sitemap_fields(response.body)
+
+    # -- feature extraction ----------------------------------------------------------
+
+    def _html_fields(self, body: str, body_hash: str) -> Dict[str, object]:
+        """The index body's feature fields, via the extraction cache."""
+        cache = self.extraction_cache
+        if cache is None:
+            return self._extract_html_fields(body)
+        fields = cache.html.get(body_hash)
+        if fields is not None:
+            cache.hits += 1
             if OBS.enabled:
-                OBS.metrics.inc("extraction.html.misses")
+                OBS.metrics.inc("extraction.html.hits")
+            return fields
+        cache.misses += 1
+        if OBS.enabled:
+            OBS.metrics.inc("extraction.html.misses")
         fields = self._extract_html_fields(body)
-        if cache is not None:
-            cache.html[body_hash] = fields
-        return replace(features, http_status=status, html_hash=body_hash, **fields)
+        cache.html[body_hash] = fields
+        return fields
 
     def _extract_html_fields(self, body: str) -> Dict[str, object]:
         """Pure extraction of one index body's feature fields."""
@@ -495,26 +754,6 @@ class WeeklyMonitor:
             download_paths=downloads,
             onclick_count=sum(1 for link in document.links if link.onclick),
             has_meta_keywords="keywords" in document.meta,
-        )
-
-    def _with_sitemap_features(
-        self,
-        features: SnapshotFeatures,
-        fqdn: Name,
-        at: datetime,
-        headers: Dict[str, str],
-        scheme: str = "http",
-    ) -> SnapshotFeatures:
-        self.sitemap_fetches += 1
-        outcome = self._client.fetch(
-            fqdn, path="/sitemap.xml", scheme=scheme, at=at, headers=headers,
-            retry=self.config.retry,
-        )
-        if not outcome.ok:
-            return features
-        size, count, sample = self.extract_sitemap_fields(outcome.response.body)
-        return replace(
-            features, sitemap_size=size, sitemap_count=count, sitemap_sample=sample
         )
 
     def extract_sitemap_fields(self, body: str) -> Tuple[int, int, Tuple[str, ...]]:

@@ -191,7 +191,7 @@ def build_scenario(config: Optional[ScenarioConfig] = None) -> PipelineEngine:
         )
         fault_plan = FaultPlan(config.faults, fault_streams)
         # The breaker guards the *data plane*; poison-only fault runs
-        # leave it out so the fused sampling path stays eligible.
+        # leave it out so samples keep the direct transport.
         if config.faults.any_active:
             breaker = CircuitBreaker(failure_threshold=config.breaker_threshold)
     # The world is built on a healthy Internet — chaos begins only once

@@ -103,7 +103,7 @@ class Resolver:
         """Turn on version-validated resolution memoization.
 
         Off by default so a bare resolver keeps the seed's exact cost
-        profile; the sweep's fused sampling path switches it on.
+        profile; every weekly sweep switches it on.
         """
         self._memo_enabled = True
 

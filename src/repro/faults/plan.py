@@ -155,8 +155,8 @@ class FaultPlan:
         self._suppress = 0
         #: Lower-cased poison set, precomputed for the sweep's per-name
         #: check.  Poison is not part of :attr:`FaultConfig.any_active`:
-        #: it fails single names, never the data plane, so the fused
-        #: sampling path stays eligible.
+        #: it fails single names, never the data plane, so the direct
+        #: transport stays eligible.
         self.poison = frozenset(name.lower() for name in config.poison_fqdns)
 
     @classmethod

@@ -105,14 +105,13 @@ def _sweep_table(result, metrics) -> str:
     counters = metrics.counters()
     rows: List[Tuple[object, ...]] = [
         ("samples taken", counters.get("monitor.samples", 0)),
-        ("fused shards", counters.get("sweep.shards.fused", 0)),
-        ("generic shards", counters.get("sweep.shards.generic", 0)),
+        ("direct-transport sweeps", counters.get("sweep.shards.fused", 0)),
+        ("client-transport sweeps", counters.get("sweep.shards.generic", 0)),
         ("journal clean skips", counters.get("journal.clean_skips", 0)),
         ("journal dirty hits", counters.get("journal.dirty", 0)),
         ("touch-ledger evictions", counters.get("monitor.touch_ledger.evictions", 0)),
         ("touch-marker samples", counters.get("sweep.sample.touch", 0)),
-        ("full fused samples", counters.get("sweep.sample.full", 0)),
-        ("generic samples", counters.get("sweep.sample.generic", 0)),
+        ("full samples", counters.get("sweep.sample.full", 0)),
         ("detector signature matches", counters.get("detector.signature_matches", 0)),
         ("detector index lookups", counters.get("detector.index.lookups", 0)),
         ("detector index candidates tested", counters.get("detector.index.candidates", 0)),

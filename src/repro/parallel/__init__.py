@@ -7,12 +7,12 @@ isolating failures per name, so a raising name costs one dead letter
 and never a re-sample of its neighbours.
 """
 
+from repro.core.monitoring import fast_path_eligible
 from repro.parallel.executor import (
     ProcessExecutor,
     SweepExecutor,
     SweepReport,
 )
-from repro.parallel.shard import fast_path_eligible
 
 __all__ = [
     "ProcessExecutor",

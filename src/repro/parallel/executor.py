@@ -5,10 +5,10 @@ list and reduces it to a :class:`SweepReport`.  :class:`ProcessExecutor`
 is the one production sweep: a single in-process pass over the list
 that records each sample — or each touch marker — into the snapshot
 store and the touch ledger as soon as it is taken, in list order, the
-order the serial reference sweep in the test suite uses.  On a
-fault-free world it samples through the fused sampler with the resolver
-memo and the extraction cache; on a faulty one through
-``WeeklyMonitor.sample``.
+order the serial reference sweep in the test suite uses.  Every name
+goes through the one sampler, ``WeeklyMonitor.sample``, with the
+resolver memo and the extraction cache on; the sweep only picks its
+transport once, by :func:`~repro.core.monitoring.fast_path_eligible`.
 
 Failure isolation is per name.  A name whose sample raises — a bug, an
 unsampleable input, a ``FaultConfig.poison_fqdns`` subject — becomes
@@ -30,11 +30,11 @@ from repro.core.monitoring import (
     SnapshotFeatures,
     TRANSIENT_SAMPLE_STATUSES,
     WeeklyMonitor,
+    fast_path_eligible,
 )
 from repro.dns.names import Name
 from repro.faults.plan import PoisonedName
 from repro.obs import OBS, peak_rss_kb
-from repro.parallel.shard import _sample_fused, _touch_clean, fast_path_eligible
 
 ChangedPair = Tuple[SnapshotFeatures, Optional[SnapshotFeatures]]
 
@@ -105,9 +105,7 @@ class ProcessExecutor(SweepExecutor):
         report.cpu_seconds = time.process_time() - cpu0
         if OBS.enabled:
             OBS.series.record_shard(
-                0, len(fqdns),
-                report.cpu_seconds or report.wall_seconds,
-                report.wall_seconds,
+                0, len(fqdns), report.cpu_seconds, report.wall_seconds,
                 peak_rss_kb(),
             )
         self.last_report = report
@@ -122,41 +120,37 @@ class ProcessExecutor(SweepExecutor):
     ) -> None:
         """Sample every name once, recording each result immediately."""
         client = monitor.client
-        resolver = client.resolver
         plan = client.fault_plan
         poison = plan.poison if plan is not None else None
         store = monitor.store
-        fused = fast_path_eligible(monitor)
+        direct = fast_path_eligible(monitor)
         obs_on = OBS.enabled
         if obs_on:
             OBS.metrics.inc(
-                "sweep.shards.fused" if fused else "sweep.shards.generic"
+                "sweep.shards.fused" if direct else "sweep.shards.generic"
             )
+        # Version-validated resolution memoization, in every world: each
+        # hit is revalidated against the zone versions and replays
+        # identical passive-DNS observations, and the resolver draws its
+        # DNS fault before it consults the memo, so fault streams are
+        # untouched.
+        client.resolver.enable_memo()
         ledger = (
             monitor.touch_ledger
             if monitor.incremental and monitor.journal is not None
             else None
         )
-        proofs = None
         changed = None
-        if fused:
-            # Part of the fast path: version-validated resolution
-            # memoization.  Safe process-wide — every hit is
-            # revalidated against the zone versions and replays
-            # identical passive-DNS observations.
-            resolver.enable_memo()
-            if ledger is not None:
-                # The sweep's dirty set: every journal subject that
-                # moved since the ledger's cursor.  Empty in the steady
-                # state, making the per-name check one dict get plus a
-                # guard.
-                proofs = ledger
-                changed = monitor.journal.changed_since(ledger.cursor)
-        headers = {"User-Agent": monitor.config.user_agent}
+        if ledger is not None and direct:
+            # The sweep's dirty set: every journal subject that moved
+            # since the ledger's cursor.  Empty in the steady state,
+            # making the per-name check one dict get plus a guard.
+            # Proofs only exist for the direct transport.
+            changed = monitor.journal.changed_since(ledger.cursor)
         # ``seq=0`` pins the span's path id: one shard span per sweep.
         with OBS.tracer.span(
             "sweep.shard", sim=at, seq=0, shard=0, size=len(fqdns),
-            mode="fused" if fused else "generic",
+            mode="fused" if direct else "generic",
         ):
             for fqdn in fqdns:
                 counters = (
@@ -168,30 +162,23 @@ class ProcessExecutor(SweepExecutor):
                 try:
                     if poison and fqdn.lower() in poison:
                         raise PoisonedName(fqdn)
-                    if fused:
-                        if proofs is not None and _touch_clean(
-                            monitor, resolver, proofs, changed, fqdn, at
-                        ):
-                            if obs_on:
-                                OBS.metrics.inc("monitor.samples")
-                                OBS.metrics.inc("journal.clean_skips")
-                            store.touch(fqdn, at)
-                            continue
-                        features = _sample_fused(
-                            monitor, fqdn, at, headers, proofs
-                        )
-                        if not isinstance(features, SnapshotFeatures):
-                            # Touch marker: the state is unchanged.
-                            if obs_on:
-                                OBS.metrics.inc("sweep.sample.touch")
-                            store.touch(fqdn, at)
-                            continue
+                    if changed is not None and monitor.extend_if_clean(
+                        fqdn, at, changed
+                    ):
                         if obs_on:
-                            OBS.metrics.inc("sweep.sample.full")
-                    else:
-                        features = monitor.sample(fqdn, at)
+                            OBS.metrics.inc("monitor.samples")
+                            OBS.metrics.inc("journal.clean_skips")
+                        store.touch(fqdn, at)
+                        continue
+                    features = monitor.sample(fqdn, at, direct, ledger)
+                    if not isinstance(features, SnapshotFeatures):
+                        # Touch marker: the state is unchanged.
                         if obs_on:
-                            OBS.metrics.inc("sweep.sample.generic")
+                            OBS.metrics.inc("sweep.sample.touch")
+                        store.touch(fqdn, at)
+                        continue
+                    if obs_on:
+                        OBS.metrics.inc("sweep.sample.full")
                 except Exception as error:
                     (
                         monitor.samples_taken,

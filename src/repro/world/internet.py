@@ -93,7 +93,9 @@ class Internet:
                 provider.fault_plan = fault_plan
                 for edge in provider.edges:
                     edge.fault_plan = fault_plan
-        if breaker is None and fault_plan is not None:
+        if breaker is None and fault_plan is not None and fault_plan.config.any_active:
+            # The breaker guards the data plane, which a poison-only
+            # plan never touches.
             breaker = CircuitBreaker()
         self.client = HttpClient(
             self.resolver, self.network, fault_plan=fault_plan, breaker=breaker

@@ -1,11 +1,14 @@
 """The serial sweep: the reference the production executor must reproduce.
 
 One in-process pass over the monitored list, sampling every FQDN through
-``WeeklyMonitor.sample`` and recording each sample into the store as
-soon as it is taken — no fused sampler, no resolver memo and no
-extraction cache.  This is the seed pipeline's sweep verbatim.
-Production runs :class:`~repro.parallel.executor.ProcessExecutor`; it
-must export the same bytes as this oracle, with and without faults.
+the reference sampler (:func:`~tests.oracles.reference_sampler.reference_sample`)
+and recording each sample into the store as soon as it is taken — no
+touch markers, no direct transport, no resolver memo and no extraction
+cache.  This is the seed pipeline's sweep verbatim, plus the one
+dead-letter rule production also follows: a ``FaultConfig.poison_fqdns``
+subject is never sampled and becomes one ``(fqdn, reason)`` dead
+letter.  Production runs :class:`~repro.parallel.executor.ProcessExecutor`;
+it must export the same bytes as this oracle, with and without faults.
 """
 
 from __future__ import annotations
@@ -16,7 +19,9 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.monitoring import TRANSIENT_SAMPLE_STATUSES, WeeklyMonitor
 from repro.dns.names import Name
+from repro.faults.plan import PoisonedName
 from repro.parallel.executor import ChangedPair, SweepExecutor, SweepReport
+from tests.oracles.reference_sampler import reference_sample
 
 #: Batch size of :func:`sweep_iter` when the caller names none.
 DEFAULT_BATCH_SIZE = 256
@@ -28,19 +33,21 @@ def sweep_iter(
     at: datetime,
     batch_size: int = DEFAULT_BATCH_SIZE,
     failures: Optional[List[Tuple[Name, str]]] = None,
+    dead_letters: Optional[List[Tuple[Name, str]]] = None,
 ) -> Iterator[List[ChangedPair]]:
     """Sample in fixed-size batches, yielding each batch's changes.
 
     Yields one (possibly empty) changed-pairs list per batch; iterating
     to exhaustion is equivalent to :func:`sweep`.  Retry-exhausted
-    transient failures are appended to ``failures`` when given (and
-    dropped otherwise).  The batch size is validated at call time, not
-    at the first ``next()``.
+    transient failures are appended to ``failures`` and poisoned names
+    to ``dead_letters`` when given (and dropped otherwise).  The batch
+    size is validated at call time, not at the first ``next()``.
     """
     if batch_size <= 0:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
     sink: List[Tuple[Name, str]] = failures if failures is not None else []
-    return _sweep_batches(monitor, fqdns, at, batch_size, sink)
+    letters: List[Tuple[Name, str]] = dead_letters if dead_letters is not None else []
+    return _sweep_batches(monitor, fqdns, at, batch_size, sink, letters)
 
 
 def _sweep_batches(
@@ -49,11 +56,17 @@ def _sweep_batches(
     at: datetime,
     size: int,
     failures: List[Tuple[Name, str]],
+    dead_letters: List[Tuple[Name, str]],
 ) -> Iterator[List[ChangedPair]]:
+    poison = getattr(monitor.client.fault_plan, "poison", frozenset())
     for start in range(0, len(fqdns), size):
         changed: List[ChangedPair] = []
         for fqdn in fqdns[start:start + size]:
-            features = monitor.sample(fqdn, at)
+            if fqdn.lower() in poison:
+                error = PoisonedName(fqdn)
+                dead_letters.append((fqdn, f"{type(error).__name__}: {error}"))
+                continue
+            features = reference_sample(monitor, fqdn, at)
             if features.fetch_status in TRANSIENT_SAMPLE_STATUSES:
                 # Retries exhausted and the state is still unknown: keep
                 # the last trusted state and hand the FQDN to quarantine.
@@ -70,10 +83,14 @@ def sweep(
     fqdns: Sequence[Name],
     at: datetime,
     failures: Optional[List[Tuple[Name, str]]] = None,
+    dead_letters: Optional[List[Tuple[Name, str]]] = None,
 ) -> List[ChangedPair]:
     """Sample every FQDN once; the ``(new, previous)`` state changes."""
     changed: List[ChangedPair] = []
-    for batch in sweep_iter(monitor, fqdns, at, failures=failures):
+    batches = sweep_iter(
+        monitor, fqdns, at, failures=failures, dead_letters=dead_letters
+    )
+    for batch in batches:
         changed.extend(batch)
     return changed
 
@@ -89,10 +106,14 @@ class SerialExecutor(SweepExecutor):
         started = time.perf_counter()
         cpu0 = time.process_time()
         failures: List[Tuple[Name, str]] = []
-        changed = sweep(monitor, fqdns, at, failures=failures)
+        dead_letters: List[Tuple[Name, str]] = []
+        changed = sweep(
+            monitor, fqdns, at, failures=failures, dead_letters=dead_letters
+        )
         report = SweepReport(
             changed=changed,
             failures=failures,
+            dead_letters=dead_letters,
             samples_taken=monitor.samples_taken - samples0,
             sitemap_fetches=monitor.sitemap_fetches - sitemap0,
             wall_seconds=time.perf_counter() - started,

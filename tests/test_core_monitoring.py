@@ -11,8 +11,10 @@ from repro.faults.plan import FaultConfig, FaultPlan
 from repro.faults.retry import RetryPolicy
 from repro.sim.clock import SimClock
 from repro.sim.rng import RngStreams
+from repro.web.server import VirtualHostServer
 from repro.web.sitemap import Sitemap
 from repro.world.internet import Internet
+from tests.oracles.reference_sampler import reference_sample
 from tests.oracles.serial_sweep import sweep, sweep_iter
 
 T0 = datetime(2020, 1, 6)
@@ -97,20 +99,28 @@ def test_sitemap_fetched_on_change_only(internet):
     assert features.sitemap_sample
 
 
-def test_ethics_bound_two_requests_per_fqdn(internet):
-    """At most two HTTP requests per FQDN per weekly sample."""
+def test_ethics_bound_two_requests_per_fqdn(internet, monkeypatch):
+    """At most two HTTP requests per FQDN per weekly sample.
+
+    Counted where requests land, at the edge, so both transports are
+    held to it: the direct one and the client one (``prefer_https``
+    without a certificate, whose failed handshake sends no request).
+    """
     _, resource, fqdn = _victim(internet)
     calls = []
-    original = internet.client.fetch
+    original = VirtualHostServer.serve
 
-    def counting_fetch(*args, **kwargs):
-        calls.append(kwargs.get("path") or (args[1] if len(args) > 1 else "/"))
-        return original(*args, **kwargs)
+    def counting_serve(self, request):
+        calls.append(request.path)
+        return original(self, request)
 
-    internet.client.fetch = counting_fetch
-    monitor = WeeklyMonitor(internet.client)
-    monitor.sample(fqdn, T0)
-    assert len(calls) <= 2
+    monkeypatch.setattr(VirtualHostServer, "serve", counting_serve)
+    for config in (None, MonitorConfig(prefer_https=True)):
+        calls.clear()
+        monitor = WeeklyMonitor(internet.client, config=config)
+        monitor.sample(fqdn, T0)
+        assert calls
+        assert len(calls) <= 2
 
 
 def test_meta_and_script_features(internet):
@@ -365,7 +375,11 @@ def test_scheme_is_not_part_of_state_identity(internet):
         internet.client, store=http_monitor.store,
         config=MonitorConfig(prefer_https=True),
     )
-    second = https_monitor.sample(fqdn, T0 + timedelta(weeks=1))
+    # Same content over a different scheme is the same observed state:
+    # the sampler returns a touch marker instead of features...
+    assert https_monitor.sample(fqdn, T0 + timedelta(weeks=1)) == fqdn
+    # ...and the reference sampler's features carry the new scheme but
+    # the old state key.
+    second = reference_sample(https_monitor, fqdn, T0 + timedelta(weeks=1))
     assert second.scheme == "https"
-    # Same content over a different scheme is the same observed state.
     assert second.state_key() == first.state_key()

@@ -1,20 +1,23 @@
 """Tests for the sweep executor (`repro.parallel`).
 
 Covers the determinism contract (the in-process sweep records the same
-store as the serial oracle), the fused sampling path's feature parity
-with ``WeeklyMonitor.sample``, per-name failure isolation (a raising
-name costs one dead letter and no re-sampling), the metrics merge
-algebra, and the extraction cache.
+store as the serial oracle), the one sampler's feature parity with the
+reference sampler on both transports, per-name failure isolation (a
+raising name costs one dead letter and no re-sampling), the metrics
+merge algebra, the shard CPU accounting and the extraction cache.
 """
 
 from datetime import datetime, timedelta
+from types import SimpleNamespace
+import time
 
 import pytest
 
 from repro.core.monitoring import (
-    ExtractionCache,
+    TRANSIENT_SAMPLE_STATUSES,
     MonitorConfig,
     SnapshotFeatures,
+    TouchEntry,
     WeeklyMonitor,
 )
 from repro.core.scenario import ScenarioConfig, build_scenario
@@ -25,11 +28,11 @@ from repro.faults.retry import CircuitBreaker, RetryPolicy
 from repro.obs import OBS, BufferTracer, MetricsRegistry, TimeSeriesRecorder
 from repro.parallel import ProcessExecutor, fast_path_eligible
 from repro.parallel import executor as executor_module
-from repro.parallel.shard import _sample_fused
 from repro.pipeline.metrics import PipelineMetrics, StageMetrics
 from repro.sim.clock import SimClock
 from repro.sim.rng import RngStreams
 from repro.world.internet import Internet
+from tests.oracles.reference_sampler import reference_sample
 from tests.oracles.serial_sweep import SerialExecutor
 
 T0 = datetime(2020, 1, 6)
@@ -67,23 +70,16 @@ def test_pipeline_metrics_merge_is_associative():
     assert left.stage("sweep").items_processed == 6
 
 
-def test_extraction_cache_merge_folds_entries_and_counters():
-    a = ExtractionCache(html={"h1": {"title": "x"}}, hits=2, misses=1)
-    b = ExtractionCache(
-        html={"h2": {"title": "y"}}, sitemap={"s1": (10, 2, ("/a",))},
-        hits=1, misses=3,
+# -- sampler parity --------------------------------------------------------
+
+
+def _internet(faulty=False):
+    if not faulty:
+        return Internet(RngStreams(7), SimClock())
+    plan = FaultPlan.from_seed(FaultConfig.chaos(0.15), 7)
+    return Internet(
+        RngStreams(7), SimClock(), fault_plan=plan, breaker=CircuitBreaker()
     )
-    a.merge(b)
-    assert set(a.html) == {"h1", "h2"}
-    assert a.sitemap == {"s1": (10, 2, ("/a",))}
-    assert (a.hits, a.misses) == (3, 4)
-
-
-# -- fused path parity -----------------------------------------------------
-
-
-def _internet():
-    return Internet(RngStreams(7), SimClock())
 
 
 def _victim(internet, name="shop", body="<html><head><title>Portal</title></head><body>hi</body></html>"):
@@ -117,39 +113,103 @@ def test_fast_path_ineligible_under_breaker_or_active_faults():
     assert not fast_path_eligible(WeeklyMonitor(chaotic.client))
 
 
-def test_fused_sample_matches_generic_sample_feature_for_feature():
-    internet = _internet()
-    azure, resource, fqdn = _victim(internet)
+def _sampling_world(faulty):
+    """A few victims plus a dangling name, and a monitor over them.
+
+    The faulty world runs a chaos storm with a breaker and a retry
+    budget; two calls with the same flag build identical worlds whose
+    fault streams replay the same draws.
+    """
+    internet = _internet(faulty)
+    victims = [_victim(internet, name=f"shop{i}") for i in range(4)]
     missing = "gone.acme.com"
     internet.zones.get_zone("acme.com").add(
         ResourceRecord(missing, RRType.CNAME, "nosuch.azurewebsites.net"), T0
     )
-    generic = WeeklyMonitor(internet.client)
-    fused = WeeklyMonitor(internet.client)
-    headers = {"User-Agent": fused.config.user_agent}
-    for name in (fqdn, missing):
-        expected = generic.sample(name, T0)
-        actual = _sample_fused(fused, name, T0, headers)
-        assert isinstance(actual, SnapshotFeatures)
-        assert actual == expected
+    config = MonitorConfig(retry=RetryPolicy.standard(3)) if faulty else None
+    monitor = WeeklyMonitor(internet.client, config=config)
+    return monitor, [resource for _, resource, _ in victims], [
+        fqdn for _, _, fqdn in victims
+    ] + [missing]
 
 
-def test_fused_sample_returns_touch_marker_only_when_state_is_unchanged():
+@pytest.mark.parametrize("faulty", [False, True], ids=["quiescent", "faulty"])
+def test_sample_matches_reference_sample_feature_for_feature(faulty):
+    reference, ref_resources, names = _sampling_world(faulty)
+    monitor, resources, _ = _sampling_world(faulty)
+    assert fast_path_eligible(monitor) is not faulty
+    at = T0
+    touches = 0
+    for week in range(4):
+        if week == 2:
+            # One content change mid-run: a full sample again.
+            for site_owner in (ref_resources[0], resources[0]):
+                site_owner.site.put_index("<html><title>slot gacor</title></html>")
+        for name in names:
+            expected = reference_sample(reference, name, at)
+            actual = monitor.sample(name, at)
+            if week == 0:
+                assert isinstance(actual, SnapshotFeatures)
+            if isinstance(actual, SnapshotFeatures):
+                assert actual == expected
+            else:
+                # A touch marker: the reference sample deduplicates.
+                assert actual == name
+                assert expected.state_key() == monitor.store.latest(name).state_key()
+                monitor.store.touch(name, at)
+                touches += 1
+            if expected.fetch_status not in TRANSIENT_SAMPLE_STATUSES:
+                reference.store.record(expected)
+                if isinstance(actual, SnapshotFeatures):
+                    monitor.store.record(actual)
+        at += WEEK
+    assert [monitor.store.history(n) for n in names] == [
+        reference.store.history(n) for n in names
+    ]
+    assert monitor.samples_taken == reference.samples_taken
+    assert monitor.sitemap_fetches == reference.sitemap_fetches
+    assert monitor.client.retries_total == reference.client.retries_total
+    # Both transports touched, and the storm really drew faults.
+    assert touches > 0
+    assert (monitor.client.retries_total > 0) is faulty
+
+
+@pytest.mark.parametrize(
+    "config", [None, MonitorConfig(retry=RetryPolicy.standard(3))],
+    ids=["direct", "client"],
+)
+def test_sample_returns_touch_marker_only_when_state_is_unchanged(config):
     internet = _internet()
     _, resource, fqdn = _victim(internet)
-    monitor = WeeklyMonitor(internet.client)
-    headers = {"User-Agent": monitor.config.user_agent}
-    first = _sample_fused(monitor, fqdn, T0, headers)
+    monitor = WeeklyMonitor(internet.client, config=config)
+    assert fast_path_eligible(monitor) is (config is None)
+    first = monitor.sample(fqdn, T0)
     assert isinstance(first, SnapshotFeatures)
     monitor.store.record(first)
-    # Unchanged world: the fused path proves the state equal and ships
+    # Unchanged world: the sampler proves the state equal and ships
     # only the name.
-    assert _sample_fused(monitor, fqdn, T0 + WEEK, headers) == fqdn
+    assert monitor.sample(fqdn, T0 + WEEK) == fqdn
     # Content change: a full sample again.
     resource.site.put_index("<html><head><title>slot gacor</title></head></html>")
-    second = _sample_fused(monitor, fqdn, T0 + 2 * WEEK, headers)
+    second = monitor.sample(fqdn, T0 + 2 * WEEK)
     assert isinstance(second, SnapshotFeatures)
     assert second.title == "slot gacor"
+
+
+def test_client_transport_touch_drops_the_ledger_proof():
+    # Only the direct transport mints proofs; a touch taken through the
+    # client must not leave an old proof standing, as a full sample
+    # would not.
+    internet = _internet()
+    _, _, fqdn = _victim(internet)
+    monitor = WeeklyMonitor(
+        internet.client, config=MonitorConfig(retry=RetryPolicy.standard(3))
+    )
+    monitor.store.record(monitor.sample(fqdn, T0))
+    ledger = monitor.touch_ledger
+    ledger.put(fqdn, TouchEntry(fqdn=fqdn, deps=(), state_key=()))
+    assert monitor.sample(fqdn, T0 + WEEK, ledger=ledger) == fqdn
+    assert ledger.get(fqdn) is None
 
 
 def test_store_touch_equals_recording_a_duplicate_state():
@@ -161,7 +221,7 @@ def test_store_touch_equals_recording_a_duplicate_state():
         if use_touch:
             monitor.store.touch(fqdn, T0 + WEEK)
         else:
-            monitor.store.record(monitor.sample(fqdn, T0 + WEEK))
+            monitor.store.record(reference_sample(monitor, fqdn, T0 + WEEK))
         return [
             (s.features, s.first_seen, s.last_seen, s.observations)
             for s in monitor.store.history(fqdn)
@@ -262,13 +322,32 @@ def test_inline_sweep_cpu_is_the_sum_of_shard_cpu():
     assert 0.0 < report.cpu_seconds
 
 
+def test_shard_row_records_measured_cpu_never_wall(monkeypatch):
+    # A sweep that measures no CPU (a coarse process clock) must record
+    # zero CPU, not its wall time in CPU's place.
+    internet, fqdns = _monitored_world()
+    monkeypatch.setattr(
+        executor_module, "time",
+        SimpleNamespace(perf_counter=time.perf_counter, process_time=lambda: 1.0),
+    )
+    series = TimeSeriesRecorder()
+    OBS.configure(series=series)
+    try:
+        report = ProcessExecutor().sweep(WeeklyMonitor(internet.client), fqdns, T0)
+    finally:
+        OBS.reset()
+    assert report.cpu_seconds == 0.0
+    assert report.wall_seconds > 0.0
+    assert series.shard_rows()[0]["cpu_s"] == 0.0
+
+
 # -- per-name failure isolation --------------------------------------------
 
 
 def _counting_sampler(monkeypatch, raise_for=None):
-    """Interpose the fused sampler: log every call, optionally raise."""
+    """Interpose the sampler: log every call, optionally raise."""
     calls = []
-    real = executor_module._sample_fused
+    real = WeeklyMonitor.sample
 
     def sampler(monitor, fqdn, *args, **kwargs):
         calls.append(fqdn)
@@ -279,7 +358,7 @@ def _counting_sampler(monkeypatch, raise_for=None):
             raise RuntimeError(f"extractor bug on {fqdn}")
         return real(monitor, fqdn, *args, **kwargs)
 
-    monkeypatch.setattr(executor_module, "_sample_fused", sampler)
+    monkeypatch.setattr(WeeklyMonitor, "sample", sampler)
     return calls
 
 
