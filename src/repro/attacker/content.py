@@ -27,7 +27,7 @@ from repro.content.vocab import (
     Topic,
 )
 from repro.web.html import HtmlDocument, Link, Script
-from repro.web.sitemap import Sitemap
+from repro.web.sitemap import Sitemap, SitemapEntry
 
 _TOPIC_POOLS = {
     Topic.GAMBLING: GAMBLING_KEYWORDS,
@@ -35,6 +35,16 @@ _TOPIC_POOLS = {
     Topic.PHARMA: PHARMA_KEYWORDS,
     Topic.GENERIC_SPAM: GENERIC_SPAM_WORDS,
     Topic.JAPANESE_SEO: JAPANESE_SPAM_WORDS,
+}
+
+#: Each topic pool's page-name slugs, index for index with
+#: ``_TOPIC_POOLS``: a keyword's slug is the keyword with spaces turned
+#: into dashes, or ``""`` for a non-ASCII keyword, which page names
+#: leave out.  Drawing from the slug pool draws the same index as
+#: drawing from the keyword pool.
+_SLUG_POOLS = {
+    topic: tuple(word.replace(" ", "-") if word.isascii() else "" for word in pool)
+    for topic, pool in _TOPIC_POOLS.items()
 }
 
 _TOPIC_LANG = {
@@ -177,11 +187,12 @@ class AbuseContentFactory:
     # -- bulk upload ------------------------------------------------------------------
 
     def random_page_name(self, topic: Topic) -> str:
-        """The consistent random page naming of signature (4)."""
-        pool = _TOPIC_POOLS[topic]
-        words = [w for w in self._sample_keywords(pool, 3) if w.isascii()] or ["page"]
-        slug = "-".join(w.replace(" ", "-") for w in words)
-        return f"/{slug}-{self._rng.randrange(10_000)}.html"
+        """The consistent random page naming of signature (4).
+
+        Three keywords of the topic joined by dashes, non-ASCII ones
+        left out (``page`` if none is left), then a number below 10,000.
+        """
+        return self._page_name(_SLUG_POOLS[topic])
 
     def abuse_sitemap(
         self,
@@ -195,14 +206,19 @@ class AbuseContentFactory:
 
         Real entries are created for every counted page (the listed
         paths first, then more generated names), reproducing the
-        multi-thousand-entry sitemaps behind Figure 6.
+        multi-thousand-entry sitemaps behind Figure 6.  Every entry
+        carries the upload date ``at`` as its ``lastmod``.
         """
-        sitemap = Sitemap()
-        for path in page_paths:
-            sitemap.add(f"http://{fqdn}{path}", lastmod=at)
-        for _ in range(max(0, total_page_count - len(page_paths))):
-            sitemap.add(f"http://{fqdn}{self.random_page_name(topic)}", lastmod=at)
-        return sitemap
+        lastmod = at.strftime("%Y-%m-%d") if at else None
+        prefix = f"http://{fqdn}"
+        entries = [SitemapEntry(prefix + path, lastmod) for path in page_paths]
+        generated = total_page_count - len(page_paths)
+        if generated > 0:
+            slugs, page_name = _SLUG_POOLS[topic], self._page_name
+            entries.extend(
+                SitemapEntry(prefix + page_name(slugs), lastmod) for _ in range(generated)
+            )
+        return Sitemap(entries)
 
     # -- helpers ------------------------------------------------------------------------
 
@@ -214,6 +230,15 @@ class AbuseContentFactory:
         if _looks_like_ip(identifier):
             return Link(href=f"http://{identifier}/landing", text="Mirror")
         return Link(href=identifier, text="Contact")
+
+    def _page_name(self, slugs: Sequence[str]) -> str:
+        choice = self._rng.choice
+        first, second, third = choice(slugs), choice(slugs), choice(slugs)
+        if first and second and third:  # every pool but the Japanese one is ASCII
+            slug = f"{first}-{second}-{third}"
+        else:
+            slug = "-".join(part for part in (first, second, third) if part) or "page"
+        return f"/{slug}-{self._rng.randrange(10_000)}.html"
 
     def _sample_keywords(self, pool: Sequence[str], count: int) -> List[str]:
         return [self._rng.choice(pool) for _ in range(count)]

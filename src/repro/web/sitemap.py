@@ -8,10 +8,9 @@ new sitemap or a 100 KB size jump is itself a signature component.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -61,23 +60,64 @@ class Sitemap:
         return len(self.render().encode("utf-8"))
 
 
-_URL_RE = re.compile(r"<url>(.*?)</url>", re.S)
-_LOC_RE = re.compile(r"<loc>(.*?)</loc>", re.S)
-_LASTMOD_RE = re.compile(r"<lastmod>(.*?)</lastmod>", re.S)
+def _url_blocks(text: str) -> Iterator[Tuple[Tuple[int, int], int, int]]:
+    """The sitemap grammar: each ``<url>…</url>`` block holding a ``<loc>``.
+
+    Yields the ``<loc>`` content's span and the block's bounds in
+    ``text``.  A block runs to the first ``</url>`` after its ``<url>``;
+    a block without ``<loc>…</loc>`` is skipped (tolerant).
+    """
+    pos = 0
+    while True:
+        start = text.find("<url>", pos)
+        if start < 0:
+            return
+        start += 5
+        end = text.find("</url>", start)
+        if end < 0:
+            return
+        loc = _element(text, "<loc>", "</loc>", start, end)
+        if loc is not None:
+            yield loc, start, end
+        pos = end + 6
+
+
+def _element(
+    text: str, open_tag: str, close_tag: str, start: int, end: int
+) -> Optional[Tuple[int, int]]:
+    """Span of the first ``open_tag…close_tag`` content in ``text[start:end]``."""
+    first = text.find(open_tag, start, end)
+    if first < 0:
+        return None
+    first += len(open_tag)
+    last = text.find(close_tag, first, end)
+    return None if last < 0 else (first, last)
 
 
 def parse_sitemap(text: str) -> Sitemap:
     """Parse sitemap XML into a :class:`Sitemap` (tolerant)."""
     sitemap = Sitemap()
-    for block in _URL_RE.findall(text):
-        loc_match = _LOC_RE.search(block)
-        if not loc_match:
-            continue
-        lastmod_match = _LASTMOD_RE.search(block)
+    for (loc, loc_end), start, end in _url_blocks(text):
+        lastmod = _element(text, "<lastmod>", "</lastmod>", start, end)
         sitemap.entries.append(
             SitemapEntry(
-                loc=loc_match.group(1).strip(),
-                lastmod=lastmod_match.group(1).strip() if lastmod_match else None,
+                loc=text[loc:loc_end].strip(),
+                lastmod=text[lastmod[0]:lastmod[1]].strip() if lastmod else None,
             )
         )
     return sitemap
+
+
+def summarize_sitemap(text: str, sample_cap: int) -> Tuple[int, Tuple[str, ...]]:
+    """``(entry count, first sample_cap locations)`` of sitemap XML.
+
+    Equal to ``len(parse_sitemap(text))`` and the first ``sample_cap`` of
+    its ``urls()``, without building an entry per URL.
+    """
+    count = 0
+    sample: List[str] = []
+    for (loc, loc_end), _, _ in _url_blocks(text):
+        if count < sample_cap:
+            sample.append(text[loc:loc_end].strip())
+        count += 1
+    return count, tuple(sample)

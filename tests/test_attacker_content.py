@@ -1,10 +1,15 @@
 """Tests for abuse content generation."""
 
 import random
+from datetime import datetime
 
-from repro.attacker.content import AbuseContentFactory
+import pytest
+
+from repro.attacker.content import _TOPIC_POOLS, AbuseContentFactory
+from repro.attacker.groups import GroupBehavior
 from repro.content.vocab import Topic
 from repro.web.html import parse_html
+from tests.oracles.bulk_upload import reference_abuse_sitemap, reference_random_page_name
 
 
 def _factory(seed=5):
@@ -97,3 +102,46 @@ def test_rendered_pages_parse_back():
     doc = _factory().doorway_page(Topic.ADULT, "https://x.example", "r", ["+62812000"])
     parsed = parse_html(doc.render())
     assert parsed.title == doc.title
+
+
+# -- bulk upload against the seed generator --------------------------------
+
+
+@pytest.mark.parametrize("topic", list(Topic))
+def test_bulk_upload_matches_the_seed_generator(topic):
+    """Same names, same XML and the same generator state as the seed code.
+
+    The state check catches a changed number of draws (for example a
+    switch to ``rng.choices``), which would shift every later draw of
+    the attacker group.
+    """
+    if topic not in _TOPIC_POOLS:  # no abuse vocabulary: both refuse before any draw
+        factory, oracle = _factory(1), random.Random(1)
+        with pytest.raises(KeyError):
+            factory.random_page_name(topic)
+        with pytest.raises(KeyError):
+            reference_random_page_name(oracle, topic)
+        assert factory._rng.getstate() == oracle.getstate()
+        return
+    cap = GroupBehavior().max_pages_per_site
+    at = datetime(2021, 3, 8, 17, 45)
+    for seed in range(1, 6):
+        factory = AbuseContentFactory(random.Random(seed), "group-test")
+        oracle = random.Random(seed)
+        names = [factory.random_page_name(topic) for _ in range(50)]
+        assert names == [reference_random_page_name(oracle, topic) for _ in range(50)]
+        assert factory._rng.getstate() == oracle.getstate()
+        for total in (2, 500, cap):
+            paths = names[:1]
+            sitemap = factory.abuse_sitemap(f"s{seed}.victim.com", paths, total, at, topic)
+            expected = reference_abuse_sitemap(
+                oracle, f"s{seed}.victim.com", paths, total, at, topic
+            )
+            assert len(sitemap) == total
+            assert sitemap.entries == expected.entries
+            assert sitemap.render() == expected.render()
+            assert factory._rng.getstate() == oracle.getstate()
+        undated = factory.abuse_sitemap("victim.com", [], 5, topic=topic)
+        expected = reference_abuse_sitemap(oracle, "victim.com", [], 5, topic=topic)
+        assert undated.render() == expected.render()
+        assert factory._rng.getstate() == oracle.getstate()

@@ -14,6 +14,7 @@ import pytest
 from repro.core.scenario import ScenarioConfig, build_scenario, run_scenario
 from repro.core.export import dataset_to_json
 from repro.pipeline.engine import Checkpoint
+from tests.oracles.ct_scan import reference_first_issuance
 from repro.pipeline.store import (
     CheckpointCorruptError,
     CheckpointStore,
@@ -200,6 +201,37 @@ def test_resume_skips_checkpoint_whose_engine_no_longer_unpickles(tmp_path):
     # Stale files are evidence too: never deleted.
     assert os.path.exists(stale)
     assert dataset_to_json(resumed.dataset, indent=2) == golden
+
+
+def test_resume_rebuilds_the_ct_first_issuance_index(tmp_path):
+    """Checkpoints hold the CT log without its index, as older builds wrote it.
+
+    Resume rebuilds the index from the log entries: no stage tick fails
+    (the scenario engine degrades a raising stage to a dead-lettered
+    tick), the export is the straight run's and every lookup equals the
+    scan.
+    """
+    config = ScenarioConfig.tiny()
+    config.weeks = 6
+    golden = dataset_to_json(run_scenario(config).dataset, indent=2)
+
+    store = CheckpointStore(tmp_path)
+    config2 = ScenarioConfig.tiny()
+    config2.weeks = 6
+    engine = build_scenario(config2)
+    engine.run(max_weeks=4, checkpoint_every=2, on_checkpoint=store.save)
+    with open(store.paths()[-1], "rb") as handle:
+        assert b"_first_exact" not in handle.read()
+
+    resumed = run_scenario(None, checkpoint_store=store, resume=True)
+    assert resumed.weeks_run == 6
+    assert not [r for r in resumed.dead_letters if r.item == "<stage-tick>"]
+    assert dataset_to_json(resumed.dataset, indent=2) == golden
+    ct_log = resumed.internet.ct_log
+    names = {san.lstrip("*.") for e in ct_log.entries() for san in e.certificate.sans}
+    assert names
+    for name in sorted(names | {f"www.{n}" for n in names}):
+        assert ct_log.first_issuance_for(name) == reference_first_issuance(ct_log, name)
 
 
 def test_restore_latest_returns_none_when_every_file_is_stale(tmp_path):

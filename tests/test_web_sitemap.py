@@ -4,7 +4,8 @@ from datetime import datetime
 
 from hypothesis import given, strategies as st
 
-from repro.web.sitemap import Sitemap, parse_sitemap
+from repro.web.sitemap import Sitemap, parse_sitemap, summarize_sitemap
+from tests.oracles.regex_sitemap import reference_parse_sitemap
 
 
 def test_add_and_urls():
@@ -49,3 +50,31 @@ def test_roundtrip_property(page_ids):
         sitemap.add(f"http://example.com/p{page_id}")
     parsed = parse_sitemap(sitemap.render())
     assert parsed.urls() == sitemap.urls()
+
+
+# -- the block scanner against the seed's regex parser -----------------------
+
+_FRAGMENTS = st.sampled_from(
+    ["<url>", "</url>", "<loc>", "</loc>", "<lastmod>", "</lastmod>",
+     " ", "\n", "\t", "http://x.com/p", "2020-05-01", "<urlset>", "<", ">", "/", "junk"]
+)
+
+
+@given(st.lists(_FRAGMENTS, max_size=60))
+def test_parse_and_summary_match_the_regex_parser_on_fragment_soup(fragments):
+    body = "".join(fragments)
+    parsed = parse_sitemap(body)
+    assert parsed.entries == reference_parse_sitemap(body).entries
+    for cap in (0, 1, 10):
+        assert summarize_sitemap(body, cap) == (len(parsed), tuple(parsed.urls()[:cap]))
+
+
+def test_summary_counts_only_blocks_with_a_loc_and_strips():
+    body = (
+        "<urlset><url> <loc> http://x.com/a </loc></url>"
+        "<url>no loc</url><url><loc>http://x.com/b</loc><lastmod>2020</lastmod></url>"
+        "<url><loc>unclosed</url></urlset>"
+    )
+    assert summarize_sitemap(body, 10) == (2, ("http://x.com/a", "http://x.com/b"))
+    assert summarize_sitemap(body, 1) == (2, ("http://x.com/a",))
+    assert summarize_sitemap(body, 0) == (2, ())
