@@ -6,8 +6,9 @@ scans: every weekly changed state against the full signature store
 snapshot history (``_rescan_history``).  This benchmark builds a
 synthetic paper-shaped workload — a validated signature store of
 conjunctive signatures, a weekly stream of mostly benign changed
-states, and a deep snapshot store — and times both scans with the
-inverted indexes on and off.
+states, and a deep snapshot store — and times both scans through the
+production detector (inverted indexes) and through the linear oracle
+(``tests/oracles/linear_detector.py``).
 
 The two paths must agree bit-for-bit: the bench asserts identical
 match results, identical flagged sets and identical export digests, so
@@ -34,11 +35,17 @@ import time
 from datetime import datetime, timedelta
 from typing import Dict, List, Sequence
 
-from repro.core.detection import AbuseDetector, DetectorConfig
-from repro.core.export import dataset_to_json
-from repro.core.monitoring import SnapshotFeatures, SnapshotStore
-from repro.core.reporting import render_table
-from repro.core.signatures import Signature
+REPO = pathlib.Path(__file__).resolve().parents[1]
+if str(REPO) not in sys.path:
+    # The linear oracle lives in the test suite.
+    sys.path.insert(0, str(REPO))
+
+from repro.core.detection import AbuseDetector  # noqa: E402
+from repro.core.export import dataset_to_json  # noqa: E402
+from repro.core.monitoring import SnapshotFeatures, SnapshotStore  # noqa: E402
+from repro.core.reporting import render_table  # noqa: E402
+from repro.core.signatures import Signature  # noqa: E402
+from tests.oracles.linear_detector import LinearAbuseDetector  # noqa: E402
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -143,11 +150,11 @@ def build_store(rng: random.Random, n_fqdns: int, states_per_fqdn: int):
     return store, abusive_states
 
 
-def run_variant(use_index: bool, signatures: Sequence[Signature],
+def run_variant(detector_class, signatures: Sequence[Signature],
                 pages: Sequence[SnapshotFeatures], store: SnapshotStore,
                 rescan_signatures: Sequence[Signature]) -> Dict:
-    """Time the two hot scans through one detector configuration."""
-    detector = AbuseDetector(store, DetectorConfig(use_index=use_index))
+    """Time the two hot scans through one detector."""
+    detector = detector_class(store)
     detector.signatures.extend(signatures)
 
     started = time.perf_counter()
@@ -163,7 +170,7 @@ def run_variant(use_index: bool, signatures: Sequence[Signature],
 
     matched_pages = sum(1 for m in match_results if m)
     return {
-        "path": "indexed" if use_index else "linear",
+        "path": "linear" if detector_class is LinearAbuseDetector else "indexed",
         "match_wall_s": match_wall,
         "rescan_wall_s": rescan_wall,
         "wall_s": match_wall + rescan_wall,
@@ -195,8 +202,8 @@ def measure(n_signatures: int, n_pages: int, n_fqdns: int,
         for serial in range(12)
     ]
     runs = [
-        run_variant(use_index, signatures, pages, store, rescan_signatures)
-        for use_index in (False, True)
+        run_variant(detector_class, signatures, pages, store, rescan_signatures)
+        for detector_class in (LinearAbuseDetector, AbuseDetector)
     ]
     linear, indexed = runs
     # Parity is the contract: identical matches (same signatures, same

@@ -12,8 +12,8 @@ from repro.core.collection import collect_fqdns
 from repro.core.monitoring import MonitorConfig, WeeklyMonitor
 from repro.core.reporting import render_table
 from repro.core.scenario import ScenarioConfig, run_scenario
+from repro.core.sweep import ProcessExecutor
 from repro.obs import OBS, MetricsRegistry, Tracer
-from repro.parallel import ProcessExecutor
 
 
 def test_algorithm1_throughput(paper, benchmark):

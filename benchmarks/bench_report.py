@@ -1,10 +1,11 @@
-"""Report-engine benchmark: the old serial report vs the task-graph engine.
+"""Report-engine benchmark: the all-pairs co-occurrence scan vs postings.
 
-``python -m repro report`` used to run every Section 4–6 analysis
-strictly serially, with Figure 27's ``cooccurrence_edges`` computed by
-an O(n²) all-pairs scan over the identifier map.  The rework runs the
-analyses as a task graph on a forked pool and walks co-occurrence
-through the per-domain postings index instead — O(co-occurring pairs).
+``python -m repro report`` used to compute Figure 27's
+``cooccurrence_edges`` by an O(n²) all-pairs scan over the identifier
+map.  Production walks the per-domain postings index instead —
+O(co-occurring pairs).  Both variants run the analyses serially,
+through the one engine path, so the table measures the postings walk
+alone.
 
 The simulated world underproduces attacker identifiers relative to the
 real measurement (the paper extracts ~31.5k phone numbers, social
@@ -15,8 +16,9 @@ finished scenario — the ``identifiers`` task returns the synthetic map,
 and everything downstream (clustering, co-occurrence, every renderer)
 runs the production path over it.
 
-Baseline = serial engine + the retained ``cooccurrence_edges_naive``
-scan (the pre-rework report).  Candidate = forked pool + postings
+Baseline = the engine with the co-occurrence task swapped for the
+all-pairs oracle (``tests/oracles/naive_cooccurrence.py``, the
+pre-rework report).  Candidate = the production registry's postings
 walk.  The two must agree byte-for-byte: the bench asserts identical
 edge lists and identical rendered reports, so the speedup table doubles
 as a parity check.
@@ -41,12 +43,18 @@ import sys
 import time
 from typing import Dict, List
 
-from repro.analysis import AnalysisRegistry, default_tasks, run_analyses
-from repro.core.clustering import cooccurrence_edges, cooccurrence_edges_naive
-from repro.core.identifiers import IdentifierMap
-from repro.core.paper_report import build_report
-from repro.core.reporting import render_table
-from repro.core.scenario import ScenarioConfig, run_scenario
+REPO = pathlib.Path(__file__).resolve().parents[1]
+if str(REPO) not in sys.path:
+    # The all-pairs oracle lives in the test suite.
+    sys.path.insert(0, str(REPO))
+
+from repro.analysis import AnalysisRegistry, default_tasks, run_analyses  # noqa: E402
+from repro.core.clustering import cooccurrence_edges  # noqa: E402
+from repro.core.identifiers import IdentifierMap  # noqa: E402
+from repro.core.paper_report import build_report  # noqa: E402
+from repro.core.reporting import render_table  # noqa: E402
+from repro.core.scenario import ScenarioConfig, run_scenario  # noqa: E402
+from tests.oracles.naive_cooccurrence import cooccurrence_edges_naive  # noqa: E402
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -61,10 +69,6 @@ QUICK_SCALE = dict(n_identifiers=1_600, n_campaigns=60, weeks=16)
 #: Report wall-clock gates (baseline wall / engine wall).
 PAPER_GATE = 2.0
 QUICK_GATE = 1.3
-
-#: Pool width for the candidate run (the engine merges in registry
-#: order, so any width is byte-identical).
-WORKERS = 4
 
 
 def build_identifier_map(rng: random.Random, n_identifiers: int,
@@ -93,8 +97,8 @@ def build_identifier_map(rng: random.Random, n_identifiers: int,
 def bench_registry(synthetic_map: IdentifierMap, naive: bool) -> AnalysisRegistry:
     """The default registry with the identifier workload grafted in.
 
-    ``naive=True`` additionally swaps the co-occurrence task back to
-    the pre-rework all-pairs scan (the baseline under test).
+    ``naive=True`` additionally swaps the co-occurrence task for the
+    all-pairs oracle (the baseline under test).
     """
 
     def _synthetic_identifiers(result, deps):
@@ -114,18 +118,16 @@ def bench_registry(synthetic_map: IdentifierMap, naive: bool) -> AnalysisRegistr
     return AnalysisRegistry(tasks)
 
 
-def run_variant(result, synthetic_map: IdentifierMap, *, naive: bool,
-                workers: int) -> Dict:
+def run_variant(result, synthetic_map: IdentifierMap, *, naive: bool) -> Dict:
     started = time.perf_counter()
     run = run_analyses(
-        result, registry=bench_registry(synthetic_map, naive=naive),
-        workers=workers,
+        result, registry=bench_registry(synthetic_map, naive=naive)
     )
     report = build_report(result, run=run)
     wall = time.perf_counter() - started
     assert not run.failed, [outcome.error for outcome in run.failed]
     return {
-        "path": "serial+naive-edges" if naive else f"pool[{workers}]+postings",
+        "path": "serial+naive-oracle" if naive else "serial+postings",
         "wall_s": wall,
         "edges": run.payload("cooccurrence"),
         "report": report,
@@ -140,15 +142,14 @@ def measure(n_identifiers: int, n_campaigns: int, weeks: int,
     config = ScenarioConfig.tiny(seed=seed)
     config.weeks = weeks
     result = run_scenario(config)
-    baseline = run_variant(result, synthetic_map, naive=True, workers=1)
-    engine = run_variant(result, synthetic_map, naive=False, workers=WORKERS)
+    baseline = run_variant(result, synthetic_map, naive=True)
+    engine = run_variant(result, synthetic_map, naive=False)
     # Parity is the contract: the postings walk must emit the byte-same
-    # edge list as the all-pairs scan, and the pooled report must be
-    # byte-identical to the serial baseline's rendering.
+    # edge list as the all-pairs scan, and so the same rendered report.
     assert engine["edges"] == baseline["edges"], \
         "postings co-occurrence diverged from the all-pairs scan"
     assert engine["report"] == baseline["report"], \
-        "pooled report diverged from the serial baseline"
+        "postings report diverged from the all-pairs baseline"
     # Sanity: the grafted workload is actually paper-shaped.
     assert len(cooccurrence_edges(synthetic_map)) > n_identifiers / 4
     return [baseline, engine]
@@ -180,7 +181,7 @@ def test_report_engine_speedup(emit):
     emit("report_engine", render(runs, "quick scale"))
     speedup = _speedup(runs)
     assert speedup >= QUICK_GATE, (
-        f"analysis engine only {speedup:.2f}x over the serial baseline "
+        f"postings report only {speedup:.2f}x over the all-pairs baseline "
         f"(floor {QUICK_GATE}x at quick scale)"
     )
 

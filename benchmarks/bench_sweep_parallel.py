@@ -46,7 +46,7 @@ if str(REPO) not in sys.path:
 from repro.core.export import dataset_to_json  # noqa: E402
 from repro.core.reporting import render_table  # noqa: E402
 from repro.core.scenario import ScenarioConfig, build_scenario  # noqa: E402
-from repro.parallel.executor import ProcessExecutor  # noqa: E402
+from repro.core.sweep import ProcessExecutor  # noqa: E402
 from tests.oracles.serial_sweep import use_serial_sweep  # noqa: E402
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"

@@ -1,55 +1,40 @@
-"""Declarative analysis-task registry and parallel task-graph executor.
+"""Declarative analysis-task registry and its serial executor.
 
 Every Section 4–6 analysis behind the paper's figures used to run
-strictly serially inside one monolithic string-builder; this module
-makes the analysis tier a first-class, parallelizable, observable
-stage.  An :class:`AnalysisTask` names one pure analysis — a function
-of the finished :class:`~repro.core.scenario.ScenarioResult` (plus the
-payloads of declared upstream tasks) returning a picklable payload —
-and an :class:`AnalysisRegistry` holds them in a fixed order that
-doubles as the topological order of the task graph (dependencies must
-be registered first).
-
-:func:`run_analyses` executes a registry two ways with byte-identical
-results:
-
-* ``workers <= 1`` — the serial parity path: tasks run in registry
-  order, in process.
-* ``workers > 1`` — a forked task-graph pool: up to ``workers``
-  children run concurrently, each executing one task against the
-  copy-on-write world and shipping its payload home over a pipe.
-  Ready tasks are dispatched highest-static-cost first (LPT-style);
-  however the pool schedules them, outcomes are merged **in registry
-  order**, so renderers and exports cannot observe the interleaving.
+inside one monolithic string-builder; this module makes the analysis
+tier a first-class, observable stage.  An :class:`AnalysisTask` names
+one pure analysis — a function of the finished
+:class:`~repro.core.scenario.ScenarioResult` (plus the payloads of
+declared upstream tasks) returning a payload — and an
+:class:`AnalysisRegistry` holds them in a fixed order that doubles as
+the topological order of the task graph (dependencies must be
+registered first).  :func:`run_analyses` executes the tasks in that
+order, in process.
 
 Failures are isolated per task: a task that raises degrades to an
 error outcome (one-line deterministic summary plus the full traceback
 for diagnostics) and everything downstream of it is marked skipped —
 one broken analysis costs its report section, never the report.
 
-Observability: every task runs under an ``analysis.<name>`` span and
-bumps ``analysis.<name>.{ok,failed,skipped}`` counter series (children
-swap in a fresh registry/buffer tracer and ship both home), so serial
-and parallel runs produce the same deterministic counters.
+Observability: every task runs under an ``analysis.<name>`` span,
+bumps ``analysis.<name>.{ok,failed,skipped}`` counter series and
+records one per-task resource row.
 
 Fault injection is suppressed for the duration of a run: the analyses
 are offline measurements over the finished world, and drawing from the
-fault streams here would make task outputs depend on execution order.
+fault streams here would make task outputs depend on which analyses
+ran.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import select
-import struct
 import time
 import traceback
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.obs import OBS, MetricsRegistry, cpu_seconds_now
+from repro.obs import OBS, cpu_seconds_now
 
 
 @dataclass(frozen=True)
@@ -57,27 +42,24 @@ class AnalysisTask:
     """One declarative paper analysis.
 
     ``run`` must be pure with respect to the scenario result — it may
-    read anything but mutate nothing — and return a picklable payload
-    (usually one of the analysis dataclasses).  ``deps`` names upstream
-    tasks whose payloads are passed in; ``inputs`` documents which
-    result components the task reads; ``cost`` is a static scheduling
-    hint (dispatched highest first when the pool has a free slot).
+    read anything but mutate nothing — and return a payload (usually
+    one of the analysis dataclasses).  ``deps`` names upstream tasks
+    whose payloads are passed in; ``inputs`` documents which result
+    components the task reads.
     """
 
     name: str
     run: Callable[..., object]
     inputs: Tuple[str, ...] = ()
     deps: Tuple[str, ...] = ()
-    cost: float = 1.0
 
 
 class AnalysisRegistry:
     """An ordered, validated collection of analysis tasks.
 
-    Registration order is the serial execution order and the merge
-    order of the parallel path; dependencies must already be registered
-    (which makes every registry a topologically sorted DAG by
-    construction — cycles cannot be expressed).
+    Registration order is the execution order; dependencies must
+    already be registered (which makes every registry a topologically
+    sorted DAG by construction — cycles cannot be expressed).
     """
 
     def __init__(self, tasks: Sequence[AnalysisTask] = ()):
@@ -127,14 +109,13 @@ class AnalysisOutcome:
     payload: object = None
     #: One-line deterministic failure summary (``ExcType: message``),
     #: ``None`` on success.  This is what renderers and the JSON export
-    #: show, so serial and parallel failures read identically.
+    #: show.
     error: Optional[str] = None
     #: Full traceback for diagnostics; never rendered into the report.
     error_detail: Optional[str] = None
     wall_ms: float = 0.0
-    #: CPU ms burned by the task — measured inside the worker, so the
-    #: pooled path ships the child's own number home (wall-class data,
-    #: excluded from determinism diffs like ``wall_ms``).
+    #: CPU ms burned by the task (wall-class data, excluded from
+    #: determinism diffs like ``wall_ms``).
     cpu_ms: float = 0.0
 
     @property
@@ -147,7 +128,6 @@ class AnalysisRun:
     """All outcomes of one engine run, in registry order."""
 
     outcomes: List[AnalysisOutcome]
-    workers: int = 1
     wall_seconds: float = 0.0
     _index: Dict[str, AnalysisOutcome] = field(default_factory=dict, repr=False)
 
@@ -168,39 +148,29 @@ class AnalysisRun:
         return [outcome for outcome in self.outcomes if not outcome.ok]
 
 
-# -- single-task execution (shared by the serial path and the children) ----
+# -- single-task execution -------------------------------------------------
 
 
 def _execute_task(
     task: AnalysisTask, result, deps: Dict[str, object]
 ) -> AnalysisOutcome:
     """Run one task with span + counter instrumentation, never raising."""
+    outcome = AnalysisOutcome(task=task.name)
     started = time.perf_counter()
     cpu0 = cpu_seconds_now()
     try:
         with OBS.tracer.span(f"analysis.{task.name}"):
-            payload = task.run(result, deps)
+            outcome.payload = task.run(result, deps)
     except Exception as error:  # isolation: one broken analysis != no report
-        wall_ms = (time.perf_counter() - started) * 1000.0
-        cpu_ms = (cpu_seconds_now() - cpu0) * 1000.0
-        if OBS.enabled:
-            OBS.metrics.inc(f"analysis.{task.name}.failed")
-            OBS.metrics.inc("analysis.tasks_failed")
-        return AnalysisOutcome(
-            task=task.name,
-            error=f"{type(error).__name__}: {error}",
-            error_detail=traceback.format_exc(),
-            wall_ms=wall_ms,
-            cpu_ms=cpu_ms,
-        )
-    wall_ms = (time.perf_counter() - started) * 1000.0
-    cpu_ms = (cpu_seconds_now() - cpu0) * 1000.0
+        outcome.error = f"{type(error).__name__}: {error}"
+        outcome.error_detail = traceback.format_exc()
+    outcome.wall_ms = (time.perf_counter() - started) * 1000.0
+    outcome.cpu_ms = (cpu_seconds_now() - cpu0) * 1000.0
     if OBS.enabled:
-        OBS.metrics.inc(f"analysis.{task.name}.ok")
-        OBS.metrics.inc("analysis.tasks_ok")
-    return AnalysisOutcome(
-        task=task.name, payload=payload, wall_ms=wall_ms, cpu_ms=cpu_ms
-    )
+        status = "ok" if outcome.ok else "failed"
+        OBS.metrics.inc(f"analysis.{task.name}.{status}")
+        OBS.metrics.inc(f"analysis.tasks_{status}")
+    return outcome
 
 
 def _skip_outcome(task: AnalysisTask, failed_dep: str) -> AnalysisOutcome:
@@ -221,10 +191,6 @@ def _failed_dep(task: AnalysisTask, done: Dict[str, AnalysisOutcome]) -> Optiona
     return None
 
 
-def _deps_ready(task: AnalysisTask, done: Dict[str, AnalysisOutcome]) -> bool:
-    return all(dep in done and done[dep].ok for dep in task.deps)
-
-
 def _dep_payloads(task: AnalysisTask, done: Dict[str, AnalysisOutcome]) -> Dict[str, object]:
     return {dep: done[dep].payload for dep in task.deps}
 
@@ -233,36 +199,30 @@ def _dep_payloads(task: AnalysisTask, done: Dict[str, AnalysisOutcome]) -> Dict[
 
 
 def run_analyses(
-    result,
-    registry: Optional[AnalysisRegistry] = None,
-    workers: int = 1,
+    result, registry: Optional[AnalysisRegistry] = None
 ) -> AnalysisRun:
-    """Execute a task registry over one finished scenario.
-
-    ``workers <= 1`` runs the serial parity path; ``workers > 1`` runs
-    the forked pool (falling back to serial where ``os.fork`` does not
-    exist).  Output is byte-identical either way: outcomes are always
-    merged in registry order.
-    """
+    """Execute a task registry over one finished scenario, in order."""
     if registry is None:
         from repro.analysis.tasks import default_registry
 
         registry = default_registry()
-    workers = max(1, int(workers))
     plan = getattr(result, "fault_plan", None)
     suppress = plan.suppressed() if plan is not None else nullcontext()
     started = time.perf_counter()
+    done: Dict[str, AnalysisOutcome] = {}
     with suppress:
-        if workers == 1 or len(registry) <= 1 or not hasattr(os, "fork"):
-            done = _run_serial(result, registry)
-            effective_workers = 1
-        else:
-            done = _run_pool(result, registry, workers)
-            effective_workers = workers
-    outcomes = [done[task.name] for task in registry]
+        for task in registry:
+            failed_dep = _failed_dep(task, done)
+            if failed_dep is not None:
+                done[task.name] = _skip_outcome(task, failed_dep)
+            else:
+                done[task.name] = _execute_task(
+                    task, result, _dep_payloads(task, done)
+                )
+    outcomes = list(done.values())
     if OBS.enabled:
-        # Per-task resource rows, fed in registry order from the
-        # worker-measured timings (skips carry zeros and are omitted).
+        # Per-task resource rows in registry order (skips carry zeros
+        # and are omitted).
         for outcome in outcomes:
             if outcome.wall_ms or outcome.cpu_ms:
                 OBS.series.record_stage(
@@ -271,215 +231,5 @@ def run_analyses(
                     outcome.wall_ms / 1000.0,
                 )
     return AnalysisRun(
-        outcomes=outcomes,
-        workers=effective_workers,
-        wall_seconds=time.perf_counter() - started,
+        outcomes=outcomes, wall_seconds=time.perf_counter() - started
     )
-
-
-def _run_serial(result, registry: AnalysisRegistry) -> Dict[str, AnalysisOutcome]:
-    done: Dict[str, AnalysisOutcome] = {}
-    for task in registry:
-        failed_dep = _failed_dep(task, done)
-        if failed_dep is not None:
-            done[task.name] = _skip_outcome(task, failed_dep)
-            continue
-        done[task.name] = _execute_task(task, result, _dep_payloads(task, done))
-    return done
-
-
-@dataclass
-class _Child:
-    """One in-flight forked task worker."""
-
-    task: AnalysisTask
-    pid: int
-    read_fd: int
-
-
-def _run_pool(
-    result, registry: AnalysisRegistry, workers: int
-) -> Dict[str, AnalysisOutcome]:
-    """The forked task-graph pool.
-
-    Dispatches ready tasks (dependencies completed ok) to at most
-    ``workers`` concurrent children, highest static cost first.  Child
-    observability (fresh registry + buffered spans) is shipped home in
-    the result frame; the parent folds registries and replays trace
-    events in **registry order** after the pool drains, so the merged
-    counters and the sim-clock trace projection match a serial run.
-    """
-    pending: List[AnalysisTask] = list(registry)
-    done: Dict[str, AnalysisOutcome] = {}
-    active: Dict[int, _Child] = {}
-    obs_freight: Dict[str, Tuple[Optional[MetricsRegistry], List[Dict]]] = {}
-
-    def resolve_skips() -> None:
-        # Failure cascades can unlock several rounds of skips.
-        while True:
-            skipped = [
-                task for task in pending if _failed_dep(task, done) is not None
-            ]
-            if not skipped:
-                return
-            for task in skipped:
-                done[task.name] = _skip_outcome(task, _failed_dep(task, done))
-                pending.remove(task)
-
-    def next_ready() -> Optional[AnalysisTask]:
-        ready = [task for task in pending if _deps_ready(task, done)]
-        if not ready:
-            return None
-        # LPT-style: largest static cost first; registry order breaks
-        # ties so dispatch is deterministic.
-        order = {task.name: i for i, task in enumerate(registry)}
-        ready.sort(key=lambda task: (-task.cost, order[task.name]))
-        return ready[0]
-
-    while pending or active:
-        resolve_skips()
-        while len(active) < workers:
-            task = next_ready()
-            if task is None:
-                break
-            pending.remove(task)
-            child = _spawn(task, result, _dep_payloads(task, done))
-            active[child.read_fd] = child
-        if not active:
-            if pending:  # unreachable for a validated registry
-                raise RuntimeError(
-                    f"analysis pool deadlocked with {len(pending)} tasks pending"
-                )
-            break
-        readable, _, _ = select.select(list(active), [], [])
-        for read_fd in readable:
-            child = active.pop(read_fd)
-            outcome, freight = _collect(child)
-            done[child.task.name] = outcome
-            if freight is not None:
-                obs_freight[child.task.name] = freight
-
-    if OBS.enabled and obs_freight:
-        # Deterministic fold: registry order, whatever the completion
-        # interleaving was.
-        for task in registry:
-            freight = obs_freight.get(task.name)
-            if freight is None:
-                continue
-            registry_part, events = freight
-            if registry_part is not None:
-                OBS.metrics.merge_from(registry_part)
-            if events:
-                OBS.tracer.replay(events)
-    return done
-
-
-# -- fork plumbing ---------------------------------------------------------
-
-
-def fork_with_pipe() -> Tuple[int, int, int]:
-    """Fork with a result pipe, leaking nothing on failure.
-
-    Returns ``(pid, read_fd, write_fd)``.  If ``os.fork`` raises —
-    EAGAIN under pid pressure, ENOMEM — both pipe ends are closed
-    before the exception propagates, so a failed spawn can't bleed
-    file descriptors across a long campaign.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    return pid, read_fd, write_fd
-
-
-def _write_all(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        written = os.write(fd, view)
-        view = view[written:]
-
-
-def _read_exact(fd: int, length: int) -> bytes:
-    chunks: List[bytes] = []
-    remaining = length
-    while remaining:
-        chunk = os.read(fd, min(remaining, 1 << 20))
-        if not chunk:
-            raise RuntimeError("worker closed its pipe before reporting")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def _spawn(task: AnalysisTask, result, deps: Dict[str, object]) -> _Child:
-    pid, read_fd, write_fd = fork_with_pipe()
-    if pid == 0:
-        os.close(read_fd)
-        exit_code = 0
-        try:
-            if OBS.enabled:
-                # The child's counters and spans die with it: swap in a
-                # fresh registry and a buffer tracer and ship both home.
-                OBS.metrics = MetricsRegistry()
-                OBS.tracer = OBS.tracer.fork_buffer()
-            outcome = _execute_task(task, result, deps)
-            registry_part = OBS.metrics if OBS.enabled else None
-            # Metrics-only configurations leave the null tracer (which
-            # buffers nothing) installed.
-            events = getattr(OBS.tracer, "events", []) if OBS.enabled else []
-            try:
-                payload = pickle.dumps(
-                    (outcome, registry_part, events),
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-            except Exception as error:
-                # The analysis ran but its payload cannot cross the
-                # pipe: degrade to an error outcome rather than a dead
-                # worker.
-                fallback = AnalysisOutcome(
-                    task=task.name,
-                    error=f"UnpicklablePayload: {type(error).__name__}: {error}",
-                    error_detail=traceback.format_exc(),
-                    wall_ms=outcome.wall_ms,
-                )
-                payload = pickle.dumps(
-                    (fallback, registry_part, events),
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-            _write_all(write_fd, struct.pack("<Q", len(payload)) + payload)
-            os.close(write_fd)
-        except BaseException:
-            exit_code = 1
-        os._exit(exit_code)
-    os.close(write_fd)
-    return _Child(task=task, pid=pid, read_fd=read_fd)
-
-
-def _collect(
-    child: _Child,
-) -> Tuple[AnalysisOutcome, Optional[Tuple[Optional[MetricsRegistry], List[Dict]]]]:
-    """Read one child's result frame; a dead worker degrades to an error."""
-    try:
-        header = _read_exact(child.read_fd, 8)
-        (length,) = struct.unpack("<Q", header)
-        payload = _read_exact(child.read_fd, length)
-    except Exception as error:
-        os.close(child.read_fd)
-        _, status = os.waitpid(child.pid, 0)
-        return (
-            AnalysisOutcome(
-                task=child.task.name,
-                error=(
-                    f"AnalysisWorkerDied: task {child.task.name!r} worker "
-                    f"pid {child.pid} (status {status}): {error}"
-                ),
-            ),
-            None,
-        )
-    os.close(child.read_fd)
-    os.waitpid(child.pid, 0)
-    outcome, registry_part, events = pickle.loads(payload)
-    return outcome, (registry_part, events)

@@ -5,11 +5,10 @@
     python -m repro run        [--seed N] [--weeks N] [--scale tiny|small|full]
                                [--notify] [--randomize-names] [--export PATH]
                                [--faults [LEVEL]] [--fault-seed N] [--retries N]
-                               [--incremental] [--linear-detector]
+                               [--incremental]
                                [--checkpoint-dir DIR] [--checkpoint-every N]
                                [--resume]
-    python -m repro report     [--seed N] [--scale ...]
-                               [--analysis-workers N] [--report-json PATH]
+    python -m repro report     [--seed N] [--scale ...] [--report-json PATH]
     python -m repro audit      [--seed N] [--scale ...]
     python -m repro pipeline   [--seed N] [--scale ...]
     python -m repro profile    [--seed N] [--scale ...]
@@ -18,12 +17,11 @@
 
 ``run`` executes a scenario and prints the headline summary (optionally
 exporting the abuse dataset to JSON); ``report`` adds the per-analysis
-breakdowns — computed by the :mod:`repro.analysis` task graph, on
-``--analysis-workers N`` forked workers (byte-identical output for any
-worker count; a failed analysis degrades to an error stanza instead of
-killing the report) and optionally exported as machine-readable JSON
-with ``--report-json PATH``; ``audit`` plays the defender and surveys
-the attack surface;
+breakdowns — computed by the :mod:`repro.analysis` task graph (a
+failed analysis degrades to an error stanza instead of killing the
+report) and optionally exported as machine-readable JSON with
+``--report-json PATH``; ``audit`` plays the defender and surveys the
+attack surface;
 ``pipeline`` prints the engine's per-stage timing/throughput table;
 ``profile`` runs with observability on and prints the top spans, cache
 hit rates and retry heat.
@@ -33,7 +31,7 @@ the deterministic counter registry after the run, ``--trace PATH``
 streams span/metric events (``--trace-format jsonl`` — the default —
 with sim-clock *and* wall-clock timestamps per event, or
 ``--trace-format chrome`` for a Perfetto/chrome://tracing-loadable
-trace-event JSON with sweep and analysis-pool lanes),
+trace-event JSON with a pipeline lane and a sweep lane),
 ``--trace-sample N`` keeps every Nth span per span name, and
 ``--metrics-json PATH`` exports the week-by-week counter deltas plus
 per-stage/per-shard resource accounting as JSON.  With none of them
@@ -64,12 +62,6 @@ monitor asks the world's revision journal what changed since its last
 pass and extends unchanged names' observation windows from its touch
 ledger instead of re-sampling them.  Exports stay byte-identical to a
 full sweep's for any seed.
-
-``--linear-detector`` turns the detector's inverted signature/posting
-indexes off and matches with the paper-faithful linear scans; exports
-are byte-identical either way (the indexes only skip signatures and
-FQDNs that provably cannot match), so the flag exists as the
-benchmark/parity baseline.
 
 ``--checkpoint-dir DIR`` durably snapshots the whole engine every
 ``--checkpoint-every N`` weeks (atomic, checksummed, keep-last-3);
@@ -143,11 +135,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               "revision-journal dependencies are unchanged "
                               "since their last sample (byte-identical "
                               "exports to a full sweep)")
-        cmd.add_argument("--linear-detector", action="store_true",
-                         help="disable the detector's signature/posting "
-                              "indexes and match with the paper-faithful "
-                              "linear scans (byte-identical exports; the "
-                              "benchmark baseline)")
         cmd.add_argument("--checkpoint-dir", metavar="DIR", default=None,
                          help="durably checkpoint the engine into DIR "
                               "(atomic, checksummed, keep-last-3)")
@@ -180,12 +167,6 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--export", metavar="PATH", default=None,
                              help="write the abuse dataset to a JSON file")
         if name == "report":
-            cmd.add_argument("--analysis-workers", type=int, default=1,
-                             metavar="N",
-                             help="run the report's analysis task graph on "
-                                  "N forked workers (default 1 = the serial "
-                                  "parity path; output is byte-identical "
-                                  "for any worker count)")
             cmd.add_argument("--report-json", metavar="PATH", default=None,
                              help="also export every analysis payload as "
                                   "machine-readable JSON to PATH (atomic "
@@ -230,7 +211,6 @@ def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
     if getattr(args, "retries", None) is not None:
         config.monitor.retry = RetryPolicy.standard(max(1, args.retries))
     config.incremental = bool(getattr(args, "incremental", False))
-    config.detector.use_index = not getattr(args, "linear_detector", False)
     return config
 
 
@@ -254,12 +234,12 @@ def _print_summary(result: ScenarioResult, out) -> None:
 
 
 def _print_report(
-    result: ScenarioResult, out, workers: int = 1, json_path: Optional[str] = None
+    result: ScenarioResult, out, json_path: Optional[str] = None
 ) -> None:
     from repro.analysis import report_json, run_analyses
     from repro.core.paper_report import build_report
 
-    run = run_analyses(result, workers=max(1, workers))
+    run = run_analyses(result)
     print(build_report(result, run=run), file=out)
     if json_path:
         # Atomic for the same reason as --export: a crash mid-write must
@@ -417,9 +397,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
                 print(f"\ndataset exported to {args.export}", file=out)
         elif args.command == "report":
             _print_report(
-                result, out,
-                workers=getattr(args, "analysis_workers", 1),
-                json_path=getattr(args, "report_json", None),
+                result, out, json_path=getattr(args, "report_json", None)
             )
         elif args.command == "audit":
             _print_audit(result, out)

@@ -11,8 +11,8 @@ read off — 1,798 clusters, mostly singletons, plus one giant
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.identifiers import IdentifierMap
 from repro.dns.names import Name
@@ -199,9 +199,8 @@ def cooccurrence_edges(
     pair of identifiers it appears on, so the cost is proportional to
     the co-occurring pairs (sum of per-domain posting sizes squared),
     not to all :math:`n^2` identifier pairs — almost all of which share
-    nothing and produce no edge.  Byte-identical output to the naive
-    all-pairs scan (:func:`cooccurrence_edges_naive`), which is kept as
-    the parity/benchmark baseline.
+    nothing and produce no edge.  Byte-identical output to the
+    paper-literal all-pairs scan the test suite keeps as its oracle.
     """
     items = sorted(identifier_map.all_identifiers().items())
     names = [name for name, _ in items]
@@ -221,20 +220,6 @@ def cooccurrence_edges(
         (names[a], names[b], count)
         for (a, b), count in sorted(shared.items())
     ]
-
-
-def cooccurrence_edges_naive(
-    identifier_map: IdentifierMap,
-) -> List[Tuple[str, str, int]]:
-    """The paper-literal O(n²) all-pairs scan (parity/bench baseline)."""
-    items = sorted(identifier_map.all_identifiers().items())
-    edges: List[Tuple[str, str, int]] = []
-    for i, (name_a, domains_a) in enumerate(items):
-        for name_b, domains_b in items[i + 1:]:
-            shared = len(set(domains_a) & set(domains_b))
-            if shared:
-                edges.append((name_a, name_b, shared))
-    return edges
 
 
 #: Node colours of Figure 27: IPs red, contacts green, shorteners blue.

@@ -45,11 +45,6 @@ class DetectorConfig:
     benign_corpus_cap: int = 4000
     #: Sitemap entry count that alone makes a page suspicious.
     bulk_sitemap_count: int = 300
-    #: Use the inverted signature/posting indexes for matching and
-    #: retrospective rescans.  The indexed path is byte-identical to
-    #: the linear scan (same matches, same order, same exports); the
-    #: flag exists for the parity tests and the benchmark baseline.
-    use_index: bool = True
     extractor: ExtractorConfig = field(default_factory=ExtractorConfig)
 
 
@@ -275,18 +270,11 @@ class AbuseDetector:
     ) -> List[Tuple[Signature, FrozenSet[str]]]:
         """All signatures matching ``features``, in extraction order.
 
-        The default path asks the :class:`SignatureIndex` which
-        signatures share at least one required component token with the
-        page and verifies only those; with ``use_index`` off it is the
-        paper-faithful linear scan.  Both return the same list.
+        Asks the :class:`SignatureIndex` which signatures share at least
+        one required component token with the page and verifies only
+        those — the same list the paper-faithful linear scan over every
+        signature returns.
         """
-        if not self.config.use_index:
-            matches = []
-            for signature in self.signatures:
-                components = signature.match(features)
-                if components is not None:
-                    matches.append((signature, components))
-            return matches
         if not self.signatures:
             return []
         if len(self.sig_index) != len(self.signatures):
@@ -406,29 +394,9 @@ class AbuseDetector:
         owner fixed the record), the reconstructed episode is closed at
         that state's first sighting — retrospective detection must not
         resurrect remediated hijacks as ongoing.
-
-        With ``use_index`` on, the store's posting index narrows the
-        walk to FQDNs whose history contains at least one of the
-        signature's anchor tokens; everything else cannot match and is
-        skipped without changing any output (``None`` from the index
-        means "cannot prune" and falls back to the full walk).
         """
         flagged: List[Name] = []
-        fqdns = self.store.fqdns()
-        if self.config.use_index:
-            total = len(fqdns)
-            candidates = self.store.rescan_candidates(signature)
-            if candidates is None:
-                if OBS.enabled:
-                    OBS.metrics.inc("rescan.fallbacks")
-            else:
-                fqdns = [fqdn for fqdn in fqdns if fqdn in candidates]
-                if OBS.enabled:
-                    OBS.metrics.inc("rescan.skipped", total - len(fqdns))
-            if OBS.enabled:
-                OBS.metrics.inc("rescan.signatures")
-                OBS.metrics.inc("rescan.visited", len(fqdns))
-        for fqdn in fqdns:
+        for fqdn in self._rescan_fqdns(signature):
             history = self.store.history(fqdn)
             matches = [signature.match(state.features) for state in history]
             if not any(components is not None for components in matches):
@@ -464,6 +432,30 @@ class AbuseDetector:
                 ):
                     episode.ended_at = successor.first_seen
         return flagged
+
+    def _rescan_fqdns(self, signature: Signature) -> List[Name]:
+        """The FQDNs a rescan must walk for ``signature``, in store order.
+
+        The store's posting index narrows the walk to FQDNs whose
+        history contains at least one of the signature's anchor tokens;
+        everything else cannot match and is skipped without changing any
+        output (``None`` from the index means "cannot prune" and falls
+        back to every FQDN).
+        """
+        fqdns = self.store.fqdns()
+        total = len(fqdns)
+        candidates = self.store.rescan_candidates(signature)
+        if candidates is None:
+            if OBS.enabled:
+                OBS.metrics.inc("rescan.fallbacks")
+        else:
+            fqdns = [fqdn for fqdn in fqdns if fqdn in candidates]
+            if OBS.enabled:
+                OBS.metrics.inc("rescan.skipped", total - len(fqdns))
+        if OBS.enabled:
+            OBS.metrics.inc("rescan.signatures")
+            OBS.metrics.inc("rescan.visited", len(fqdns))
+        return fqdns
 
     # -- backlog ----------------------------------------------------------------------------------
 

@@ -41,9 +41,9 @@ from repro.core.stages import (
     WorldStage,
     candidate_names,
 )
+from repro.core.sweep import ProcessExecutor, SweepExecutor
 from repro.faults.plan import FaultConfig, FaultPlan
 from repro.faults.retry import CircuitBreaker, RetryPolicy
-from repro.parallel.executor import ProcessExecutor, SweepExecutor
 from repro.pipeline.context import QuarantineRecord
 from repro.pipeline.engine import PipelineEngine
 from repro.pipeline.store import CheckpointStore

@@ -28,8 +28,9 @@ required group.  This module exploits that:
 
 Both indexes are strictly candidate *generators*: every candidate is
 still verified with :meth:`Signature.match`, so the indexed path is
-byte-identical to the linear scan — same matches, same order, same
-export digests — just without testing signatures that cannot fire.
+byte-identical to the linear scan the test suite keeps as its oracle —
+same matches, same order, same export digests — just without testing
+signatures that cannot fire.
 
 The token-extraction helpers (:func:`page_tokens`,
 :func:`external_hosts`, :func:`facade_markers`) live here, below both

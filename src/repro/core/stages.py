@@ -25,8 +25,8 @@ from repro.core.detection import AbuseDetector
 from repro.core.malware_analysis import BinaryHarvester
 from repro.core.monitoring import WeeklyMonitor
 from repro.core.notifications import NotificationCampaign
+from repro.core.sweep import ProcessExecutor, SweepExecutor
 from repro.dns.names import Name
-from repro.parallel.executor import ProcessExecutor, SweepExecutor
 from repro.pipeline.context import WeekContext
 from repro.pipeline.stage import Stage
 from repro.world.internet import Internet
@@ -125,8 +125,8 @@ class MonitorSweepStage(Stage):
     """Weekly sampling of every monitored FQDN, via a sweep executor.
 
     The sweep itself is delegated to a
-    :class:`~repro.parallel.executor.SweepExecutor` — by default the
-    in-process :class:`~repro.parallel.executor.ProcessExecutor`.
+    :class:`~repro.core.sweep.SweepExecutor` — by default the
+    in-process :class:`~repro.core.sweep.ProcessExecutor`.
     FQDNs whose final sample still ended in a transient failure after
     the monitor's retry budget, and FQDNs whose sample raised, are
     dead-lettered onto the context's quarantine instead of polluting

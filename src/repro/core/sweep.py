@@ -1,9 +1,10 @@
-"""The weekly sweep executor.
+"""The weekly monitor sweep.
 
-A :class:`SweepExecutor` runs one weekly sweep of the monitored-FQDN
-list and reduces it to a :class:`SweepReport`.  :class:`ProcessExecutor`
-is the one production sweep: a single in-process pass over the list
-that records each sample — or each touch marker — into the snapshot
+Section 3.2 samples every monitored FQDN once a week.  A
+:class:`SweepExecutor` runs one such sweep of the monitored-FQDN list
+and reduces it to a :class:`SweepReport`.  :class:`ProcessExecutor` is
+the one production sweep: a single in-process pass over the list that
+records each sample — or each touch marker — into the snapshot
 store and the touch ledger as soon as it is taken, in list order, the
 order the serial reference sweep in the test suite uses.  Every name
 goes through the one sampler, ``WeeklyMonitor.sample``, with the

@@ -19,13 +19,9 @@ Enable it by installing real sinks::
         finally:
             OBS.reset()
 
-Forked analysis-pool workers (:mod:`repro.analysis.engine`) swap in
-their own registry/buffer-tracer pair for the duration of a task and
-ship both home in the result frame; the parent reduces registries with
-the associative :meth:`MetricsRegistry.merge_from` and replays trace
-events in registry order, so the pool size never changes the totals.
-The series recorder lives parent-side only: it snapshots the registry
-at week boundaries.
+Everything runs in one process, so one registry, one tracer and one
+series recorder see the whole run; the series recorder snapshots the
+registry at week boundaries.
 """
 
 from __future__ import annotations

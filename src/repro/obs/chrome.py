@@ -3,18 +3,17 @@
 ``--trace-format chrome`` turns the JSONL span stream into the Chrome
 trace-event JSON that ``chrome://tracing`` and https://ui.perfetto.dev
 load directly, which is the fastest way to *see* a run: the weekly
-sweep on its own lane under the monitor-sweep stage, the analysis pool
-chewing through tasks, checkpoint writes punctuating weeks.
+sweep on its own lane under the monitor-sweep stage, checkpoint writes
+punctuating weeks, the report's analyses after the last week.
 
-Lane mapping — the trace-event ``pid``/``tid`` pair — follows the
-process topology the run actually had:
+Everything runs in one process, pid 1.  Lane mapping — the
+trace-event ``tid`` — separates the sweep from the rest:
 
-* the main pipeline (stage spans, checkpoints) → pid 1 / tid 1;
-* ``sweep.shard`` spans and everything nested under them → pid 1 /
-  tid ``10 + shard_index`` (the sweep runs in-process and opens one
-  shard span, index 0, so it lands on tid 10);
-* ``analysis.*`` spans → pid 2 (the analysis pool is a separate
-  fan-out phase) with one tid per task, in first-seen order.
+* the main pipeline (stage spans, checkpoints, ``analysis.*`` spans)
+  → tid 1;
+* ``sweep.shard`` spans and everything nested under them → tid
+  ``10 + shard_index`` (the sweep opens one shard span, index 0, so it
+  lands on tid 10).
 
 A span's lane comes from walking its **path id**: a span whose id
 contains a ``sweep.shard#0`` segment belongs to the sweep's lane no
@@ -33,13 +32,13 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Tuple
 
-_MAIN = (1, 1)
+_PID = 1
+_MAIN_TID = 1
 _SHARD_TID_BASE = 10
-_ANALYSIS_PID = 2
 
 
-def _lane_from_id(span_id: Optional[str]) -> Optional[Tuple[int, int, str]]:
-    """(pid, tid, label) for an explicitly-laned path segment, if any.
+def _shard_lane(span_id: Optional[str]) -> Optional[Tuple[int, str]]:
+    """(tid, label) of the shard lane a path id belongs to, if any.
 
     Walks the path segments outermost-first so a span nested under a
     shard span inherits the shard's lane rather than falling back to
@@ -54,28 +53,22 @@ def _lane_from_id(span_id: Optional[str]) -> Optional[Tuple[int, int, str]]:
                 index = int(seq)
             except ValueError:
                 index = 0
-            return (_MAIN[0], _SHARD_TID_BASE + index, f"shard {index}")
-        if name.startswith("analysis."):
-            return (_ANALYSIS_PID, 0, name[len("analysis."):])
+            return _SHARD_TID_BASE + index, f"shard {index}"
     return None
 
 
 def chrome_trace(events: List[Dict]) -> Dict:
     """Convert JSONL trace events to a Chrome trace-event document."""
     trace_events: List[Dict] = []
-    #: analysis task name -> tid, assigned in first-seen order.
-    analysis_tids: Dict[str, int] = {}
-    lanes_seen: Dict[Tuple[int, int], str] = {_MAIN: "pipeline"}
+    lanes_seen: Dict[int, str] = {_MAIN_TID: "pipeline"}
 
-    def resolve_lane(event: Dict) -> Tuple[int, int]:
-        lane = _lane_from_id(event.get("id") or event.get("parent"))
+    def resolve_tid(event: Dict) -> int:
+        lane = _shard_lane(event.get("id") or event.get("parent"))
         if lane is None:
-            return _MAIN
-        pid, tid, label = lane
-        if pid == _ANALYSIS_PID:
-            tid = analysis_tids.setdefault(label, len(analysis_tids) + 1)
-        lanes_seen.setdefault((pid, tid), label)
-        return pid, tid
+            return _MAIN_TID
+        tid, label = lane
+        lanes_seen.setdefault(tid, label)
+        return tid
 
     for event in events:
         kind = event.get("type")
@@ -84,7 +77,7 @@ def chrome_trace(events: List[Dict]) -> Dict:
         wall = event.get("wall")
         if wall is None:
             continue
-        pid, tid = resolve_lane(event)
+        tid = resolve_tid(event)
         args = {
             key: value
             for key, value in event.items()
@@ -100,7 +93,7 @@ def chrome_trace(events: List[Dict]) -> Dict:
                 # ``wall`` is stamped at span *end*; recover the start.
                 "ts": int(wall * 1_000_000) - dur_us,
                 "dur": dur_us,
-                "pid": pid,
+                "pid": _PID,
                 "tid": tid,
                 "args": args,
             })
@@ -110,7 +103,7 @@ def chrome_trace(events: List[Dict]) -> Dict:
                 "ph": "i",
                 "ts": int(wall * 1_000_000),
                 "s": "t",
-                "pid": pid,
+                "pid": _PID,
                 "tid": tid,
                 "args": args,
             })
@@ -119,18 +112,15 @@ def chrome_trace(events: List[Dict]) -> Dict:
         origin = min(entry["ts"] for entry in trace_events)
         for entry in trace_events:
             entry["ts"] -= origin
-    trace_events.sort(key=lambda entry: (entry["pid"], entry["tid"], entry["ts"]))
+    trace_events.sort(key=lambda entry: (entry["tid"], entry["ts"]))
 
-    metadata: List[Dict] = []
-    for pid, label in ((1, "repro pipeline"), (_ANALYSIS_PID, "analysis pool")):
-        if any(key[0] == pid for key in lanes_seen):
-            metadata.append({
-                "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-                "args": {"name": label},
-            })
-    for (pid, tid), label in sorted(lanes_seen.items()):
+    metadata: List[Dict] = [{
+        "name": "process_name", "ph": "M", "pid": _PID, "tid": 0,
+        "args": {"name": "repro pipeline"},
+    }]
+    for tid, label in sorted(lanes_seen.items()):
         metadata.append({
-            "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
+            "name": "thread_name", "ph": "M", "pid": _PID, "tid": tid,
             "args": {"name": label},
         })
 

@@ -15,10 +15,10 @@ Two kinds of data live here and must never be conflated:
 * **Deterministic**: week-indexed counter deltas.  Pure functions of
   the seed; two same-seed runs must produce equal delta series, and the
   ``repro perf --check`` gate diffs exactly these.
-* **Wall-class**: CPU seconds (:func:`cpu_seconds_now`, from
-  ``os.times`` so forked analysis workers are included via the
-  children-time fields), peak RSS (:func:`peak_rss_kb`, from
-  ``resource.getrusage`` where the platform has it), and wall seconds.
+* **Wall-class**: CPU seconds (:func:`cpu_seconds_now`, the process
+  clock the sweep's ``cpu_seconds`` also uses), peak RSS
+  (:func:`peak_rss_kb`, from ``resource.getrusage`` where the platform
+  has it), and wall seconds.
   These vary run to run and are *excluded* from determinism diffs —
   :func:`deterministic_view` strips them, mirroring ``WALL_FIELDS`` in
   the trace layer.
@@ -31,8 +31,8 @@ the deterministic stream.
 
 from __future__ import annotations
 
-import os
 import sys
+import time
 from typing import Dict, List, Optional
 
 #: Schema tag stamped into every metrics export; ``repro perf`` uses it
@@ -46,15 +46,13 @@ except ImportError:  # pragma: no cover - Windows
 
 
 def cpu_seconds_now() -> float:
-    """Process CPU seconds so far, children included.
+    """User plus system CPU seconds this process has used so far.
 
-    ``os.times`` exposes user+system for the process and, crucially,
-    for reaped children — which is how the parent's stage accounting
-    sees the CPU burned inside forked analysis workers after it waits
-    on them.
+    ``time.process_time`` — the clock the sweep's ``cpu_seconds`` is
+    measured with — so stage, shard and analysis rows add up.  Nothing
+    in the pipeline forks, so reaped children's CPU is not counted.
     """
-    t = os.times()
-    return t.user + t.system + t.children_user + t.children_system
+    return time.process_time()
 
 
 def peak_rss_kb() -> int:

@@ -200,9 +200,6 @@ class PipelineEngine:
                 elapsed = time.perf_counter() - started
                 self.metrics.record_tick(stage.name, elapsed, int(items or 0))
                 if OBS.enabled:
-                    # ``cpu_seconds_now`` counts reaped children, so a
-                    # stage that forks workers is charged for the CPU
-                    # they burned, not just the parent's share.
                     OBS.series.record_stage(
                         stage.name, cpu_seconds_now() - cpu0, elapsed
                     )

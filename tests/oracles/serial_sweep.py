@@ -7,7 +7,7 @@ touch markers, no direct transport, no resolver memo and no extraction
 cache.  This is the seed pipeline's sweep verbatim, plus the one
 dead-letter rule production also follows: a ``FaultConfig.poison_fqdns``
 subject is never sampled and becomes one ``(fqdn, reason)`` dead
-letter.  Production runs :class:`~repro.parallel.executor.ProcessExecutor`;
+letter.  Production runs :class:`~repro.core.sweep.ProcessExecutor`;
 it must export the same bytes as this oracle, with and without faults.
 """
 
@@ -18,9 +18,9 @@ from datetime import datetime
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.monitoring import TRANSIENT_SAMPLE_STATUSES, WeeklyMonitor
+from repro.core.sweep import ChangedPair, SweepExecutor, SweepReport
 from repro.dns.names import Name
 from repro.faults.plan import PoisonedName
-from repro.parallel.executor import ChangedPair, SweepExecutor, SweepReport
 from tests.oracles.reference_sampler import reference_sample
 
 #: Batch size of :func:`sweep_iter` when the caller names none.

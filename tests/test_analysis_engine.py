@@ -1,5 +1,6 @@
-"""Tests for the analysis engine (registry, pool, parity) and the
-analysis-layer bugfix regressions that shipped with it."""
+"""Tests for the analysis engine (registry, failure isolation, report
+determinism) and the analysis-layer bugfix regressions that shipped
+with it."""
 
 from __future__ import annotations
 
@@ -7,12 +8,15 @@ import dataclasses
 import json
 import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 from types import SimpleNamespace
 
 import pytest
 
+import repro
 from repro.analysis import (
     AnalysisRegistry,
     AnalysisTask,
@@ -22,11 +26,7 @@ from repro.analysis import (
     report_json,
     run_analyses,
 )
-from repro.core.clustering import (
-    cluster_identifiers,
-    cooccurrence_edges,
-    cooccurrence_edges_naive,
-)
+from repro.core.clustering import cluster_identifiers, cooccurrence_edges
 from repro.core.duration import concurrent_hijacks
 from repro.core.identifiers import IdentifierMap
 from repro.core.paper_report import build_report
@@ -39,13 +39,14 @@ from repro.core.seo_analysis import (
 )
 from repro.obs import OBS, MetricsRegistry
 from repro.web.html import parse_html
+from tests.oracles.naive_cooccurrence import cooccurrence_edges_naive
 
 T0 = datetime(2020, 3, 2)
 
 
 @pytest.fixture(scope="module")
 def second_result():
-    """A second, differently seeded world for cross-seed parity."""
+    """A second, differently seeded world for same-seed rerun parity."""
     config = ScenarioConfig.tiny(seed=7)
     config.weeks = 12
     return run_scenario(config)
@@ -90,7 +91,7 @@ def _stub_registry():
     return AnalysisRegistry([
         AnalysisTask("base", lambda result, deps: 10),
         AnalysisTask("double", lambda result, deps: deps["base"] * 2,
-                     deps=("base",), cost=5.0),
+                     deps=("base",)),
         AnalysisTask("other", lambda result, deps: result.tag),
     ])
 
@@ -103,17 +104,7 @@ def test_engine_serial_passes_dependency_payloads():
     assert not run.failed
 
 
-def test_engine_pool_matches_serial_outcomes():
-    result = SimpleNamespace(tag="x")
-    serial = run_analyses(result, registry=_stub_registry(), workers=1)
-    pooled = run_analyses(result, registry=_stub_registry(), workers=3)
-    assert [o.task for o in pooled.outcomes] == [o.task for o in serial.outcomes]
-    assert [o.payload for o in pooled.outcomes] == [o.payload for o in serial.outcomes]
-    assert pooled.workers == 3
-
-
-@pytest.mark.parametrize("workers", [1, 3])
-def test_engine_isolates_task_failure_and_skips_downstream(workers):
+def test_engine_isolates_task_failure_and_skips_downstream():
     def explode(result, deps):
         raise RuntimeError("boom")
 
@@ -123,7 +114,7 @@ def test_engine_isolates_task_failure_and_skips_downstream(workers):
                      deps=("base",)),
         AnalysisTask("other", lambda result, deps: 42),
     ])
-    run = run_analyses(SimpleNamespace(), registry=registry, workers=workers)
+    run = run_analyses(SimpleNamespace(), registry=registry)
     base = run.outcome("base")
     assert not base.ok and base.error == "RuntimeError: boom"
     skipped = run.outcome("double")
@@ -131,45 +122,46 @@ def test_engine_isolates_task_failure_and_skips_downstream(workers):
     assert run.payload("other") == 42
 
 
-def test_engine_pool_survives_worker_death():
-    registry = AnalysisRegistry([
-        AnalysisTask("die", lambda result, deps: os._exit(3)),
-        AnalysisTask("live", lambda result, deps: "ok"),
-    ])
-    run = run_analyses(SimpleNamespace(), registry=registry, workers=2)
-    dead = run.outcome("die")
-    assert not dead.ok and "AnalysisWorkerDied" in dead.error
-    assert run.payload("live") == "ok"
+# -- report determinism ----------------------------------------------------
 
 
-def test_engine_pool_degrades_unpicklable_payload():
-    registry = AnalysisRegistry([
-        AnalysisTask("bad", lambda result, deps: (lambda: None)),
-        AnalysisTask("good", lambda result, deps: 1),
-    ])
-    run = run_analyses(SimpleNamespace(), registry=registry, workers=2)
-    outcome = run.outcome("bad")
-    assert not outcome.ok and "UnpicklablePayload" in outcome.error
+def _cli_report(hash_seed, tmp_path):
+    """``repro report`` of the tiny seed-42 world under one hash seed."""
+    json_path = tmp_path / f"report-{hash_seed}.json"
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
+    completed = subprocess.run(
+        [sys.executable, "-m", "repro", "report", "--scale", "tiny",
+         "--seed", "42", "--report-json", str(json_path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    text = completed.stdout.replace(
+        f"analysis JSON exported to {json_path}\n", ""
+    )
+    return text, json_path.read_text()
 
 
-# -- report parity ---------------------------------------------------------
-
-
-@pytest.mark.parametrize("workers", [2, 5])
-def test_report_byte_parity_seed42(tiny_result, workers):
-    assert build_report(tiny_result) == build_report(tiny_result, workers=workers)
+@pytest.mark.parametrize("hash_seed", [2, 5])
+def test_report_byte_parity_seed42(tiny_result, hash_seed, tmp_path):
+    # No set or dict iteration order may leak into the report: a fresh
+    # interpreter under a pinned PYTHONHASHSEED renders the same bytes
+    # as this process, which runs under its own hash seed.
+    text, exported = _cli_report(hash_seed, tmp_path)
+    run = run_analyses(tiny_result)
+    assert text == build_report(tiny_result, run=run) + "\n"
+    assert exported == report_json(run, tiny_result)
 
 
 def test_report_byte_parity_second_seed(second_result):
-    serial = build_report(second_result)
-    assert serial == build_report(second_result, workers=4)
+    # An independent second run of the same seed renders the same bytes.
+    rerun = run_scenario(second_result.config)
+    assert build_report(rerun) == build_report(second_result)
 
 
 def test_report_json_parity_and_schema(tiny_result):
-    serial = report_json(run_analyses(tiny_result), tiny_result)
-    pooled = report_json(run_analyses(tiny_result, workers=4), tiny_result)
-    assert serial == pooled
-    exported = json.loads(serial)
+    exported = report_json(run_analyses(tiny_result), tiny_result)
+    assert exported == report_json(run_analyses(tiny_result), tiny_result)
+    exported = json.loads(exported)
     assert exported["schema"] == "repro.analysis.report/1"
     assert exported["seed"] == tiny_result.config.seed
     assert set(exported["analyses"]) == set(default_registry().names())
@@ -185,7 +177,7 @@ def test_failed_analysis_degrades_to_error_section(tiny_result):
         if task.name == "certificates" else task
         for task in default_tasks()
     ]
-    run = run_analyses(tiny_result, registry=AnalysisRegistry(tasks), workers=2)
+    run = run_analyses(tiny_result, registry=AnalysisRegistry(tasks))
     report = build_report(tiny_result, run=run)
     assert "[analysis failed: task 'certificates' — ValueError: synthetic failure]" in report
     # Every other section still renders.
@@ -194,21 +186,17 @@ def test_failed_analysis_degrades_to_error_section(tiny_result):
     assert "Reputation & certificates" in report  # the error stanza's title
 
 
-def test_engine_metrics_identical_serial_vs_pool(tiny_result):
-    def counters(workers):
-        registry = MetricsRegistry()
-        OBS.configure(metrics=registry)
-        try:
-            run_analyses(tiny_result, workers=workers)
-        finally:
-            OBS.reset()
-        return registry.counters()
-
-    serial = counters(1)
-    pooled = counters(3)
-    assert serial == pooled
-    assert serial.get("analysis.tasks_ok") == len(default_registry())
-    assert serial.get("analysis.clustering.ok") == 1
+def test_engine_metrics_count_every_task(tiny_result):
+    registry = MetricsRegistry()
+    OBS.configure(metrics=registry)
+    try:
+        run_analyses(tiny_result)
+    finally:
+        OBS.reset()
+    counters = registry.counters()
+    assert counters.get("analysis.tasks_ok") == len(default_registry())
+    assert counters.get("analysis.clustering.ok") == 1
+    assert "analysis.tasks_failed" not in counters
 
 
 # -- cooccurrence postings rewrite -----------------------------------------
@@ -361,13 +349,13 @@ def test_dendrogram_merge_sequence_deterministic(tiny_result):
 # -- CLI wiring ------------------------------------------------------------
 
 
-def test_report_cli_with_workers_and_json(tmp_path, capsys):
+def test_report_cli_with_json(tmp_path, capsys):
     from repro.cli import main
 
     json_path = tmp_path / "report.json"
     code = main([
         "report", "--scale", "tiny", "--weeks", "2",
-        "--analysis-workers", "2", "--report-json", str(json_path),
+        "--report-json", str(json_path),
     ])
     assert code == 0
     out = capsys.readouterr().out

@@ -1,10 +1,10 @@
-"""Tests for the sweep executor (`repro.parallel`).
+"""Tests for the sweep executor (`repro.core.sweep`).
 
 Covers the determinism contract (the in-process sweep records the same
 store as the serial oracle), the one sampler's feature parity with the
 reference sampler on both transports, per-name failure isolation (a
-raising name costs one dead letter and no re-sampling), the metrics
-merge algebra, the shard CPU accounting and the extraction cache.
+raising name costs one dead letter and no re-sampling), the shard CPU
+accounting and the extraction cache.
 """
 
 from datetime import datetime, timedelta
@@ -19,16 +19,16 @@ from repro.core.monitoring import (
     SnapshotFeatures,
     TouchEntry,
     WeeklyMonitor,
+    fast_path_eligible,
 )
 from repro.core.scenario import ScenarioConfig, build_scenario
+from repro.core import sweep as sweep_module
 from repro.core.stages import MonitorSweepStage
+from repro.core.sweep import ProcessExecutor
 from repro.dns.records import RRType, ResourceRecord
 from repro.faults.plan import FaultConfig, FaultPlan
 from repro.faults.retry import CircuitBreaker, RetryPolicy
 from repro.obs import OBS, BufferTracer, MetricsRegistry, TimeSeriesRecorder
-from repro.parallel import ProcessExecutor, fast_path_eligible
-from repro.parallel import executor as executor_module
-from repro.pipeline.metrics import PipelineMetrics, StageMetrics
 from repro.sim.clock import SimClock
 from repro.sim.rng import RngStreams
 from repro.world.internet import Internet
@@ -37,37 +37,6 @@ from tests.oracles.serial_sweep import SerialExecutor
 
 T0 = datetime(2020, 1, 6)
 WEEK = timedelta(weeks=1)
-
-
-# -- merge algebra ---------------------------------------------------------
-
-
-def test_stage_metrics_merge_sums_and_rejects_name_mismatch():
-    a = StageMetrics(name="sweep", ticks=2, wall_time=1.0, items_processed=10)
-    b = StageMetrics(name="sweep", ticks=3, wall_time=0.5, retries=1)
-    merged = a.merge(b)
-    assert (merged.ticks, merged.wall_time, merged.items_processed) == (5, 1.5, 10)
-    assert merged.retries == 1
-    with pytest.raises(ValueError):
-        a.merge(StageMetrics(name="other"))
-
-
-def test_pipeline_metrics_merge_is_associative():
-    def registry(n):
-        metrics = PipelineMetrics()
-        metrics.record_tick("sweep", 1.0 * n, items=n)
-        metrics.record_tick("detect", 0.5, items=1)
-        return metrics
-
-    a, b, c = registry(1), registry(2), registry(3)
-    left = a.merge(b).merge(c)
-    right = a.merge(b.merge(c))
-    assert [
-        (r.name, r.ticks, r.wall_time, r.items_processed) for r in left.stages()
-    ] == [
-        (r.name, r.ticks, r.wall_time, r.items_processed) for r in right.stages()
-    ]
-    assert left.stage("sweep").items_processed == 6
 
 
 # -- sampler parity --------------------------------------------------------
@@ -327,7 +296,7 @@ def test_shard_row_records_measured_cpu_never_wall(monkeypatch):
     # zero CPU, not its wall time in CPU's place.
     internet, fqdns = _monitored_world()
     monkeypatch.setattr(
-        executor_module, "time",
+        sweep_module, "time",
         SimpleNamespace(perf_counter=time.perf_counter, process_time=lambda: 1.0),
     )
     series = TimeSeriesRecorder()

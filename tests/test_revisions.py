@@ -14,10 +14,10 @@ from datetime import datetime, timedelta
 import pytest
 
 from repro.core.monitoring import TouchEntry, TouchLedger, WeeklyMonitor
+from repro.core.sweep import ProcessExecutor
 from repro.dns.records import RRType, ResourceRecord
 from repro.dns.zone import ZONE_SET_KEY
 from repro.obs import OBS, MetricsRegistry
-from repro.parallel import ProcessExecutor
 from repro.sim.clock import SimClock
 from repro.sim.events import EventLog
 from repro.sim.revisions import RevisionJournal

@@ -118,33 +118,12 @@ def test_attacker_controlled_title_cannot_break_signatures(internet):
     assert all(isinstance(t, str) for t in page_tokens(features))
 
 
-# -- fork plumbing and sweep failure isolation ------------------------------
-
-
-def test_fork_failure_leaks_no_file_descriptors(monkeypatch):
-    """Regression: a failing ``os.fork`` used to leak both pipe fds."""
-    import os
-    import pytest
-    from repro.analysis.engine import fork_with_pipe
-
-    def count_fds():
-        return len(os.listdir("/proc/self/fd"))
-
-    def no_fork():
-        raise OSError("EAGAIN: simulated pid exhaustion")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    before = count_fds()
-    for _ in range(5):
-        with pytest.raises(OSError, match="EAGAIN"):
-            fork_with_pipe()
-    monkeypatch.undo()
-    assert count_fds() == before
+# -- sweep failure isolation ----------------------------------------------
 
 
 def test_sweep_dead_letters_unsampleable_name(internet):
     """The sweep turns an unsampleable input into a dead letter, not a crash."""
-    from repro.parallel import ProcessExecutor
+    from repro.core.sweep import ProcessExecutor
 
     monitor = WeeklyMonitor(internet.client)
     fqdns = ["ok0.acme.com", "ok1.acme.com", None, "ok2.acme.com"]

@@ -4,17 +4,23 @@ The hard contract under test: the indexed detector path is a pure
 candidate pruner — for any world, matching and retrospective rescans
 through the indexes produce byte-identical output (same weekly flagged
 sets, same signatures, same export digests) to the paper-faithful
-linear scans.  The parity test drives randomized multi-week worlds
-through both paths side by side.
+linear scans of the oracle detector
+(:class:`~tests.oracles.linear_detector.LinearAbuseDetector`).  The
+parity tests drive randomized multi-week worlds and whole tiny
+scenarios, with and without faults, through both detectors side by
+side.
 """
 
 import random
 from datetime import datetime, timedelta
 
+import pytest
+
 from repro.core.changes import detect_changes
-from repro.core.detection import AbuseDetector, DetectorConfig
+from repro.core.detection import AbuseDetector
 from repro.core.export import dataset_to_json
 from repro.core.monitoring import SnapshotFeatures, SnapshotStore
+from repro.core.scenario import ScenarioConfig, build_scenario
 from repro.core.sigindex import (
     PostingIndex,
     SignatureIndex,
@@ -22,7 +28,12 @@ from repro.core.sigindex import (
     state_tokens,
 )
 from repro.core.signatures import Signature
+from repro.faults.plan import FaultConfig
 from repro.obs import OBS, MetricsRegistry
+from tests.oracles.linear_detector import (
+    LinearAbuseDetector,
+    use_linear_detector,
+)
 
 T0 = datetime(2020, 3, 2)
 WEEK = timedelta(weeks=1)
@@ -184,7 +195,7 @@ def test_store_rescan_candidates_by_token_and_sitemap():
     assert store.rescan_candidates(keyword_sig) == {"v1.example.com"}
 
 
-# -- indexed-vs-linear parity (randomized worlds) -----------------------------
+# -- indexed-vs-oracle parity (randomized worlds) -----------------------------
 
 
 def _world_events(seed, weeks=10):
@@ -225,9 +236,9 @@ def _world_events(seed, weeks=10):
     return weeks_out
 
 
-def _run_world(events, use_index):
+def _run_world(events, detector_class=AbuseDetector):
     store = SnapshotStore()
-    detector = AbuseDetector(store, DetectorConfig(use_index=use_index))
+    detector = detector_class(store)
     flagged_by_week = []
     for at, pages in events:
         changes = []
@@ -242,8 +253,8 @@ def _run_world(events, use_index):
 def test_indexed_path_matches_linear_path_on_random_worlds():
     for seed in range(6):
         events = _world_events(seed)
-        indexed, flagged_indexed = _run_world(events, use_index=True)
-        linear, flagged_linear = _run_world(events, use_index=False)
+        indexed, flagged_indexed = _run_world(events)
+        linear, flagged_linear = _run_world(events, LinearAbuseDetector)
         assert flagged_indexed == flagged_linear, f"seed {seed}"
         assert indexed.signatures == linear.signatures, f"seed {seed}"
         assert sorted(indexed._backlog) == sorted(linear._backlog), f"seed {seed}"
@@ -258,7 +269,7 @@ def test_indexed_path_actually_prunes():
     registry = MetricsRegistry()
     OBS.configure(metrics=registry)
     try:
-        _run_world(_world_events(1), use_index=True)
+        _run_world(_world_events(1))
     finally:
         OBS.reset()
     counters = registry.counters()
@@ -273,7 +284,7 @@ def test_parity_survives_posting_eviction():
     indexed path must degrade to full scans, never to wrong answers."""
     events = _world_events(2)
     store = SnapshotStore(posting_cap=16)
-    detector = AbuseDetector(store, DetectorConfig(use_index=True))
+    detector = AbuseDetector(store)
     flagged = []
     for at, pages in events:
         changes = []
@@ -282,8 +293,32 @@ def test_parity_survives_posting_eviction():
             if is_new:
                 changes.append(detect_changes(previous, page))
         flagged.append(detector.process_week(changes, at))
-    linear, flagged_linear = _run_world(events, use_index=False)
+    linear, flagged_linear = _run_world(events, LinearAbuseDetector)
     assert store.postings.evictions > 0
     assert flagged == flagged_linear
     assert dataset_to_json(detector.dataset, indent=2) == \
         dataset_to_json(linear.dataset, indent=2)
+
+
+# -- indexed-vs-oracle parity (whole scenarios) ----------------------------
+
+
+def _scenario_export(seed, chaos, oracle):
+    config = ScenarioConfig.tiny(seed=seed)
+    if chaos:
+        config.faults = FaultConfig.chaos(0.05)
+    engine = build_scenario(config)
+    if oracle:
+        use_linear_detector(engine)
+    engine.run()
+    detector = engine.payload.detector
+    assert type(detector) is (LinearAbuseDetector if oracle else AbuseDetector)
+    return dataset_to_json(detector.dataset, indent=2)
+
+
+@pytest.mark.parametrize("chaos", [False, True], ids=["clean", "chaos"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_default_detector_exports_match_linear_oracle(seed, chaos):
+    indexed = _scenario_export(seed, chaos, oracle=False)
+    assert indexed == _scenario_export(seed, chaos, oracle=True)
+    assert '"fqdn"' in indexed, "scenario detected nothing"

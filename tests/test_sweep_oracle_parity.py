@@ -18,11 +18,12 @@ import pytest
 
 from repro.analysis import report_json, run_analyses
 from repro.core.export import dataset_to_json
+from repro.core.monitoring import fast_path_eligible
 from repro.core.scenario import ScenarioConfig, build_scenario
+from repro.core.sweep import ProcessExecutor
 from repro.faults.plan import FaultConfig
 from repro.faults.retry import RetryPolicy
 from repro.obs import OBS, MetricsRegistry
-from repro.parallel import ProcessExecutor, fast_path_eligible
 from tests.oracles.serial_sweep import SerialExecutor, use_serial_sweep
 
 

@@ -7,9 +7,10 @@ metric-key label escaping and per-series histogram bounds fixes, the
 week-series delta math, and two cross-run contracts: same-seed sim
 projections (ids included) byte-identical across sweep executors and
 incremental modes, and the Chrome trace-event export loading as valid,
-monotonic trace JSON.
+monotonic trace JSON with one process lane.
 """
 
+import io
 import json
 from datetime import datetime
 
@@ -101,22 +102,6 @@ def test_events_record_the_enclosing_span_as_parent():
     pong = next(e for e in tracer.events if e["name"] == "pong")
     assert ping["parent"] == "outer#0"
     assert "parent" not in pong
-
-
-def test_replayed_buffer_events_keep_their_child_assigned_ids():
-    # Forked shard flow: child buffers under the inherited context,
-    # parent replays verbatim — ids survive untouched.
-    parent = BufferTracer()
-    with parent.span("sweep"):
-        child = parent.fork_buffer()
-        with child.span("sweep.shard", seq=2, shard=2):
-            pass
-    parent.replay(child.events)
-    replayed = [e for e in parent.events if e["name"] == "sweep.shard"]
-    assert replayed[0]["id"] == "sweep#0/sweep.shard#2"
-    assert replayed[0]["parent"] == "sweep#0"
-    # Replay also folds the shard span into the aggregates.
-    assert parent.aggregates()["sweep.shard"]["count"] == 1
 
 
 # -- satellite fixes -------------------------------------------------------
@@ -317,6 +302,25 @@ def test_chrome_export_maps_shards_to_their_own_lanes():
     }
     assert thread_names[(1, 10)] == "shard 0"
     assert thread_names[(1, 1)] == "pipeline"
+
+
+def test_chrome_export_puts_report_analyses_on_the_pipeline_lane(tmp_path):
+    from repro.cli import main
+
+    path = tmp_path / "report.chrome.json"
+    code = main([
+        "report", "--scale", "tiny", "--weeks", "2",
+        "--trace", str(path), "--trace-format", "chrome",
+    ], out=io.StringIO())
+    assert code == 0
+    entries = json.loads(path.read_text())["traceEvents"]
+    lanes = {
+        (entry["pid"], entry["tid"])
+        for entry in entries
+        if entry["ph"] == "X" and entry["name"].startswith("analysis.")
+    }
+    assert lanes == {(1, 1)}
+    assert {entry["pid"] for entry in entries if entry["ph"] == "M"} == {1}
 
 
 def test_chrome_export_of_an_empty_trace_is_well_formed():
