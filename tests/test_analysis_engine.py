@@ -104,21 +104,30 @@ def test_engine_serial_passes_dependency_payloads():
     assert not run.failed
 
 
-def test_engine_isolates_task_failure_and_skips_downstream():
+@pytest.mark.parametrize("depth", [1, 3])
+def test_engine_isolates_task_failure_and_skips_downstream(depth):
+    # A chain of ``depth`` tasks hangs below the failing one: every link
+    # is skipped, each naming its own failed parent, while an unrelated
+    # task still runs.
     def explode(result, deps):
         raise RuntimeError("boom")
 
-    registry = AnalysisRegistry([
-        AnalysisTask("base", explode),
-        AnalysisTask("double", lambda result, deps: deps["base"] * 2,
-                     deps=("base",)),
-        AnalysisTask("other", lambda result, deps: 42),
-    ])
+    chain = [f"down{i}" for i in range(depth)]
+    parents = ["base"] + chain[:-1]
+    registry = AnalysisRegistry(
+        [AnalysisTask("base", explode)]
+        + [AnalysisTask(name, lambda result, deps, p=parent: deps[p] * 2,
+                        deps=(parent,))
+           for name, parent in zip(chain, parents)]
+        + [AnalysisTask("other", lambda result, deps: 42)]
+    )
     run = run_analyses(SimpleNamespace(), registry=registry)
     base = run.outcome("base")
     assert not base.ok and base.error == "RuntimeError: boom"
-    skipped = run.outcome("double")
-    assert not skipped.ok and "upstream" in skipped.error
+    for name, parent in zip(chain, parents):
+        skipped = run.outcome(name)
+        assert not skipped.ok and "upstream" in skipped.error
+        assert repr(parent) in skipped.error
     assert run.payload("other") == 42
 
 
