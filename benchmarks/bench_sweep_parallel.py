@@ -5,7 +5,8 @@ oracle from ``tests/oracles`` (the baseline) and the default in-process
 :class:`ProcessExecutor` — and the monitor-sweep stage's
 :class:`PipelineMetrics` row gives each variant's sweep wall time and
 FQDN throughput.  The speedup of the default over the oracle is the
-fused sampler, resolver memo and extraction cache together.  Both
+journal's clean skips, the fused sampler and the extraction cache
+together.  Both
 variants must export a byte-identical dataset; the bench asserts it, so
 the throughput table doubles as an end-to-end determinism check.  It
 also asserts that the CPU time each executor reports for its sweeps is
@@ -20,10 +21,11 @@ Runs two ways:
   throughput over the oracle), or ``--quick`` for the small one
   (≥ 1×).
 
-A second table measures the churn-proportional ``--incremental`` mode:
-a full-vs-incremental pair of default sweeps on the low-churn world,
-isolating the revision journal's clean-skip savings.  The standalone
-acceptance gate is ≥ 2× sweep throughput with a byte-identical export.
+A second table isolates the revision journal's clean skips on the
+low-churn world: the default sweep against the same sweep with a
+ledger that proves nothing (``tests/oracles/null_ledger.py``), so every
+name is sampled.  The standalone acceptance gate is ≥ 2× sweep
+throughput with a byte-identical export.
 """
 
 from __future__ import annotations
@@ -47,12 +49,13 @@ from repro.core.export import dataset_to_json  # noqa: E402
 from repro.core.reporting import render_table  # noqa: E402
 from repro.core.scenario import ScenarioConfig, build_scenario  # noqa: E402
 from repro.core.sweep import ProcessExecutor  # noqa: E402
+from tests.oracles.null_ledger import use_null_ledger  # noqa: E402
 from tests.oracles.serial_sweep import use_serial_sweep  # noqa: E402
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
-def _config(scale: str, weeks: Optional[int], incremental: bool = False,
+def _config(scale: str, weeks: Optional[int],
             low_churn: bool = False) -> ScenarioConfig:
     if scale == "tiny":
         config = ScenarioConfig.tiny()
@@ -62,7 +65,6 @@ def _config(scale: str, weeks: Optional[int], incremental: bool = False,
         config = ScenarioConfig()
     if weeks is not None:
         config.weeks = weeks
-    config.incremental = incremental
     if low_churn:
         # The churn-proportional acceptance scenario: a quiet world
         # where most weeks most names are provably unchanged.
@@ -88,17 +90,18 @@ class _CpuMeter:
         executor.sweep = sweep
 
 
-def run_variant(scale: str, weeks: Optional[int], incremental: bool = False,
+def run_variant(scale: str, weeks: Optional[int], no_skip: bool = False,
                 low_churn: bool = False, oracle: bool = False) -> Dict:
     """One full scenario run; sweep cost read off the stage metrics.
 
-    ``oracle`` swaps the sweep stage's executor for the serial oracle.
+    ``oracle`` swaps the sweep stage's executor for the serial oracle;
+    ``no_skip`` gives the default sweep a ledger that proves nothing.
     """
-    engine = build_scenario(
-        _config(scale, weeks, incremental=incremental, low_churn=low_churn)
-    )
+    engine = build_scenario(_config(scale, weeks, low_churn=low_churn))
     if oracle:
         use_serial_sweep(engine)
+    if no_skip:
+        use_null_ledger(engine)
     executor = engine.payload.executor
     meter = _CpuMeter(executor)
     engine.run()
@@ -114,7 +117,7 @@ def run_variant(scale: str, weeks: Optional[int], incremental: bool = False,
         # matches bench rows on.
         "workers": 1,
         "mode": "oracle" if oracle else "inline",
-        "incremental": incremental,
+        "clean_skips": not (oracle or no_skip),
         "wall_s": sweep.wall_time,
         "items": sweep.items_processed,
         "throughput": sweep.items_per_second,
@@ -245,31 +248,31 @@ def emit_results(runs: List[Dict], scale: str, out=sys.stdout) -> str:
     return table
 
 
-# -- incremental (churn-proportional) variant ------------------------------
+# -- clean skips (churn-proportional) pair --------------------------------
 
 
 def measure_incremental(scale: str, weeks: Optional[int] = None) -> List[Dict]:
-    """Full-vs-incremental sweep pair on the low-churn scenario.
+    """No-skip vs default sweep pair on the low-churn scenario.
 
     Both runs share the quiet world (0.2%/week release rate) and the
-    default sweep, so the comparison isolates the journal's clean-skip
-    savings.  The incremental run must export the byte-identical
-    dataset (only the cost moves).
+    default sweep; only the first one's ledger proves nothing, so the
+    comparison isolates the journal's clean-skip savings.  Both must
+    export the byte-identical dataset (only the cost moves).
     """
     pair = [
-        run_variant(scale, weeks, incremental=False, low_churn=True),
-        run_variant(scale, weeks, incremental=True, low_churn=True),
+        run_variant(scale, weeks, no_skip=True, low_churn=True),
+        run_variant(scale, weeks, low_churn=True),
     ]
-    _assert_same_digest(pair, "incremental vs full")
+    _assert_same_digest(pair, "default vs no-skip")
     return pair
 
 
 def measure_incremental_isolated(scale: str,
                                  weeks: Optional[int] = None) -> List[Dict]:
     """The same pair, each run in a fresh interpreter (fair timing)."""
-    pair = [_run_isolated(scale, weeks, ["--low-churn"]),
-            _run_isolated(scale, weeks, ["--low-churn", "--incremental"])]
-    _assert_same_digest(pair, "incremental vs full")
+    pair = [_run_isolated(scale, weeks, ["--low-churn", "--no-skip"]),
+            _run_isolated(scale, weeks, ["--low-churn"])]
+    _assert_same_digest(pair, "default vs no-skip")
     return pair
 
 
@@ -277,7 +280,7 @@ def render_incremental(pair: List[Dict], scale: str) -> str:
     baseline = pair[0]["throughput"]
     rows = [
         (
-            "incremental" if run["incremental"] else "full",
+            "default" if run["clean_skips"] else "no-skip ledger",
             run["items"],
             f"{run['wall_s']:.2f}",
             f"{run['throughput']:,.0f}",
@@ -289,7 +292,7 @@ def render_incremental(pair: List[Dict], scale: str) -> str:
         ["sweep mode", "fqdns swept", "sweep wall s", "fqdn/s", "speedup"],
         rows,
         title=(
-            f"Churn-proportional sweep, full vs --incremental "
+            f"Clean skips, no-skip ledger vs default sweep "
             f"({scale} scenario, low churn, {pair[0]['weeks']} weeks, "
             f"digests byte-identical)"
         ),
@@ -310,7 +313,7 @@ def emit_incremental(pair: List[Dict], scale: str, out=sys.stdout) -> str:
                 "weeks": pair[0]["weeks"],
                 "runs": [
                     {key: run[key] for key in
-                     ("incremental", "items", "wall_s", "throughput")}
+                     ("clean_skips", "items", "wall_s", "throughput")}
                     for run in pair
                 ],
                 "incremental_speedup": (
@@ -342,14 +345,14 @@ def test_sweep_parallel_throughput(emit):
 
 
 def test_sweep_incremental_throughput(emit):
-    """Full-vs-incremental parity + throughput on the low-churn world."""
+    """No-skip vs default parity + throughput on the low-churn world."""
     pair = measure_incremental("small")
     emit_incremental(pair, "small")
     emit("sweep_incremental", render_incremental(pair, "small"))
     speedup = pair[1]["throughput"] / pair[0]["throughput"]
     # In-process conservative floor; the >= 2x acceptance gate applies
     # to the isolated standalone run.
-    assert speedup >= 1.5, f"incremental sweep only {speedup:.2f}x full"
+    assert speedup >= 1.5, f"clean skips only {speedup:.2f}x no-skip"
 
 
 # -- standalone entry point ------------------------------------------------
@@ -370,16 +373,16 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "oracle sweep")
     parser.add_argument("--scale", default=None,
                         help="internal: scenario scale for --variant")
-    parser.add_argument("--incremental", action="store_true",
-                        help="internal: run the --variant with "
-                             "churn-proportional sweeps on")
+    parser.add_argument("--no-skip", action="store_true",
+                        help="internal: run the --variant with a ledger "
+                             "that proves nothing (no clean skips)")
     parser.add_argument("--low-churn", action="store_true",
                         help="internal: run the --variant on the quiet "
                              "(0.2%%/week release) world")
     args = parser.parse_args(argv)
     if args.variant:
         run = run_variant(args.scale or "full", args.weeks,
-                          incremental=args.incremental,
+                          no_skip=args.no_skip,
                           low_churn=args.low_churn, oracle=args.oracle)
         print(json.dumps(run))
         return 0
@@ -399,10 +402,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     inc_speedup = pair[1]["throughput"] / pair[0]["throughput"]
     inc_floor = 1.5 if args.quick else 2.0
     if inc_speedup < inc_floor:
-        print(f"FAIL: incremental sweep {inc_speedup:.2f}x below the "
+        print(f"FAIL: clean skips {inc_speedup:.2f}x below the "
               f"{inc_floor:.1f}x floor", file=sys.stderr)
         return 1
-    print(f"incremental sweep speedup (low churn): {inc_speedup:.2f}x")
+    print(f"clean-skip speedup over no-skip (low churn): {inc_speedup:.2f}x")
     return 0
 
 

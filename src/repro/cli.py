@@ -5,7 +5,6 @@
     python -m repro run        [--seed N] [--weeks N] [--scale tiny|small|full]
                                [--notify] [--randomize-names] [--export PATH]
                                [--faults [LEVEL]] [--fault-seed N] [--retries N]
-                               [--incremental]
                                [--checkpoint-dir DIR] [--checkpoint-every N]
                                [--resume]
     python -m repro report     [--seed N] [--scale ...] [--report-json PATH]
@@ -54,14 +53,11 @@ injected-fault counts, client retries, breaker trips, quarantined
 FQDNs.
 
 Each weekly monitor sweep is one in-process pass over the monitored
-list.  A name whose sample raises costs one dead letter (counted in the
-resilience summary), never the sweep.
-
-``--incremental`` makes sweeps churn-proportional: each week the
-monitor asks the world's revision journal what changed since its last
-pass and extends unchanged names' observation windows from its touch
-ledger instead of re-sampling them.  Exports stay byte-identical to a
-full sweep's for any seed.
+list, driven by the world's revision journal: on a quiescent transport
+a name none of whose dependencies changed since its last sample has
+its observation window extended from the monitor's touch ledger
+instead of being re-sampled.  A name whose sample raises costs one
+dead letter (counted in the resilience summary), never the sweep.
 
 ``--checkpoint-dir DIR`` durably snapshots the whole engine every
 ``--checkpoint-every N`` weeks (atomic, checksummed, keep-last-3);
@@ -130,11 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--retries", type=int, default=None, metavar="N",
                          help="monitor retry budget for transient "
                               "failures (default: no retries)")
-        cmd.add_argument("--incremental", action="store_true",
-                         help="churn-proportional sweeps: skip names whose "
-                              "revision-journal dependencies are unchanged "
-                              "since their last sample (byte-identical "
-                              "exports to a full sweep)")
         cmd.add_argument("--checkpoint-dir", metavar="DIR", default=None,
                          help="durably checkpoint the engine into DIR "
                               "(atomic, checksummed, keep-last-3)")
@@ -210,7 +201,6 @@ def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
         )
     if getattr(args, "retries", None) is not None:
         config.monitor.retry = RetryPolicy.standard(max(1, args.retries))
-    config.incremental = bool(getattr(args, "incremental", False))
     return config
 
 
@@ -427,7 +417,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
                                     "command": args.command,
                                     "seed": args.seed,
                                     "scale": args.scale,
-                                    "incremental": config.incremental,
                                 },
                             ),
                             indent=2,

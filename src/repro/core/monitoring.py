@@ -83,11 +83,6 @@ class MonitorConfig:
     #: The default (one attempt, no retries) is the pre-resilience
     #: behaviour; chaos runs raise it to ride out transient faults.
     retry: RetryPolicy = field(default_factory=RetryPolicy.none)
-    #: Maximum entries the monitor's :class:`TouchLedger` retains.  A
-    #: ledger entry is small, but a 3-year scenario monitors a growing
-    #: population — the cap bounds memory and evicts least-recently
-    #: refreshed names first (they just fall back to full samples).
-    touch_ledger_cap: int = 65536
 
 
 @dataclass(frozen=True)
@@ -268,6 +263,13 @@ class ExtractionCache:
     misses: int = 0
 
 
+#: Maximum entries a monitor's :class:`TouchLedger` retains.  An entry
+#: is small, but a 3-year scenario monitors a growing population: the
+#: cap bounds memory and evicts the least recently refreshed names
+#: first (they just fall back to full samples).
+TOUCH_LEDGER_CAP = 65536
+
+
 @dataclass(frozen=True)
 class TouchEntry:
     """Proof that a name's last full sample is still current.
@@ -283,7 +285,7 @@ class TouchEntry:
     ``observed`` replays the passive-DNS observations the skipped
     resolution would have produced, keeping exports byte-identical.
     Entries are plain data (no live world references), so they survive
-    pickling across process-pool boundaries and checkpoint resumes.
+    checkpoint pickling and resumes.
     """
 
     fqdn: Name
@@ -304,7 +306,7 @@ class TouchLedger:
     yields the sweep's dirty set.
     """
 
-    def __init__(self, cap: int = 65536):
+    def __init__(self, cap: int = TOUCH_LEDGER_CAP):
         if cap <= 0:
             raise ValueError(f"cap must be positive, got {cap}")
         self.cap = cap
@@ -451,7 +453,6 @@ class WeeklyMonitor:
         config: Optional[MonitorConfig] = None,
         extraction_cache: Optional[ExtractionCache] = None,
         journal=None,
-        incremental: bool = False,
     ):
         self._client = client
         self.store = store if store is not None else SnapshotStore()
@@ -459,14 +460,13 @@ class WeeklyMonitor:
         #: Optional content-addressed extraction memo (None = always
         #: re-extract).
         self.extraction_cache = extraction_cache
-        #: The world's :class:`repro.sim.revisions.RevisionJournal`;
-        #: required for incremental sweeps, harmless otherwise.
+        #: The world's :class:`repro.sim.revisions.RevisionJournal`.
+        #: With one wired, sweeps compute a dirty set from the journal
+        #: and extend clean names' windows through the
+        #: :class:`TouchLedger` instead of re-sampling them; without
+        #: one every name is sampled.
         self.journal = journal
-        #: When true (and a journal is wired), sweeps compute a dirty
-        #: set from the journal and extend clean names' windows through
-        #: the :class:`TouchLedger` instead of re-sampling them.
-        self.incremental = incremental
-        self.touch_ledger = TouchLedger(cap=self.config.touch_ledger_cap)
+        self.touch_ledger = TouchLedger()
         self.samples_taken = 0
         self.sitemap_fetches = 0
 
@@ -502,7 +502,7 @@ class WeeklyMonitor:
         ``HttpClient.fetch``, each with its own resolution, so every
         seam draws exactly as a plain client fetch does.
 
-        With a ``ledger`` (incremental sweeps) a direct touch marker
+        With a ``ledger`` (a journal-driven sweep) a direct touch marker
         mints a :class:`TouchEntry` proof so future sweeps can skip the
         name while its journal dependencies stay put; any other touch
         drops the name's old proof, which the journal has shown stale.

@@ -90,12 +90,6 @@ class ScenarioConfig:
     breaker_threshold: int = 5
     #: Retry budget for a stage tick that raises (1 = fail immediately).
     stage_retry_attempts: int = 1
-    #: Churn-proportional sweeps: the monitor computes each week's
-    #: dirty set from the world's revision journal and extends clean
-    #: names' windows through its touch ledger instead of re-sampling
-    #: them.  Exported digests stay byte-identical to a full sweep's
-    #: for any seed.
-    incremental: bool = False
 
     @classmethod
     def tiny(cls, seed: int = 42) -> "ScenarioConfig":
@@ -241,7 +235,6 @@ def build_scenario(config: Optional[ScenarioConfig] = None) -> PipelineEngine:
         internet.client,
         config=config.monitor,
         journal=internet.revisions,
-        incremental=config.incremental,
     )
     executor = ProcessExecutor()
     detector = AbuseDetector(monitor.store, config.detector, whois=internet.whois)

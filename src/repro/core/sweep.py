@@ -6,10 +6,17 @@ and reduces it to a :class:`SweepReport`.  :class:`ProcessExecutor` is
 the one production sweep: a single in-process pass over the list that
 records each sample — or each touch marker — into the snapshot
 store and the touch ledger as soon as it is taken, in list order, the
-order the serial reference sweep in the test suite uses.  Every name
-goes through the one sampler, ``WeeklyMonitor.sample``, with the
-resolver memo and the extraction cache on; the sweep only picks its
-transport once, by :func:`~repro.core.monitoring.fast_path_eligible`.
+order the serial reference sweep in the test suite uses.  Every
+sampled name goes through the one sampler, ``WeeklyMonitor.sample``,
+with the extraction cache on; the sweep only picks its transport once,
+by :func:`~repro.core.monitoring.fast_path_eligible`.
+
+The sweep is journal-driven whenever the monitor has a revision
+journal, as every built scenario's does.  On the direct transport a
+name whose touch-ledger proof names no journal subject that moved since
+the last sweep is not sampled at all: ``WeeklyMonitor.extend_if_clean``
+extends its stored state instead (a *clean skip*).  Proofs are only
+minted on the direct transport, so faulty worlds sample every name.
 
 Failure isolation is per name.  A name whose sample raises — a bug, an
 unsampleable input, a ``FaultConfig.poison_fqdns`` subject — becomes
@@ -130,17 +137,7 @@ class ProcessExecutor(SweepExecutor):
             OBS.metrics.inc(
                 "sweep.shards.fused" if direct else "sweep.shards.generic"
             )
-        # Version-validated resolution memoization, in every world: each
-        # hit is revalidated against the zone versions and replays
-        # identical passive-DNS observations, and the resolver draws its
-        # DNS fault before it consults the memo, so fault streams are
-        # untouched.
-        client.resolver.enable_memo()
-        ledger = (
-            monitor.touch_ledger
-            if monitor.incremental and monitor.journal is not None
-            else None
-        )
+        ledger = monitor.touch_ledger if monitor.journal is not None else None
         changed = None
         if ledger is not None and direct:
             # The sweep's dirty set: every journal subject that moved

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from typing import List, Optional
 
-from repro.dns.names import Name, normalize_name, parent_name
+from repro.dns.names import Name, normalize_name
 from repro.dns.passive_dns import PassiveDNS
 from repro.dns.records import RRType, ResourceRecord
 from repro.dns.zone import ZoneRegistry
@@ -84,28 +84,21 @@ class Resolver:
         self._zones = zones
         self._passive_dns = passive_dns
         self.fault_plan = fault_plan
-        #: Memo of (qname, qtype) → finished walk, used only after
-        #: :meth:`enable_memo`.  The weekly sweep re-resolves the same
-        #: mostly-unchanged names thousands of times; a memo entry pins
-        #: every *name* the walk consulted — the per-name mutation
-        #: versions of the name and its wildcard key, plus which zone
-        #: covered it — and is discarded the moment any of them has
-        #: moved on.  Per-name granularity matters: one record churned
-        #: in a shared provider zone (or a new unrelated zone
-        #: registered) must not evict the thousands of sibling entries
-        #: a whole-zone version would.  Hits replay the identical
-        #: passive-DNS observations the walk would have made, so the
-        #: corpus the dataset exports is byte-for-byte unaffected.
+        #: Memo of (qname, qtype) → finished walk, always on: every
+        #: query goes through :meth:`_walk` or a validated hit.  The
+        #: world re-resolves the same mostly-unchanged names thousands
+        #: of times; a memo entry pins every *name* the walk consulted
+        #: — the per-name mutation versions of the name and its
+        #: wildcard key, plus which zone covered it — and is discarded
+        #: the moment any of them has moved on.  Per-name granularity
+        #: matters: one record churned in a shared provider zone (or a
+        #: new unrelated zone registered) must not evict the thousands
+        #: of sibling entries a whole-zone version would.  Hits replay
+        #: the identical passive-DNS observations the walk would have
+        #: made, so the corpus the dataset exports is byte-for-byte
+        #: unaffected, and the fault draw comes before the memo, so no
+        #: fault stream moves either.
         self._memo: dict = {}
-        self._memo_enabled = False
-
-    def enable_memo(self) -> None:
-        """Turn on version-validated resolution memoization.
-
-        Off by default so a bare resolver keeps the seed's exact cost
-        profile; every weekly sweep switches it on.
-        """
-        self._memo_enabled = True
 
     @property
     def passive_dns(self) -> Optional[PassiveDNS]:
@@ -132,44 +125,6 @@ class Resolver:
                     else ResolutionStatus.SERVFAIL
                 )
                 return ResolutionResult(qname, qtype, status)
-        if not self._memo_enabled:
-            # Deliberately duplicates _walk without the touched/observed
-            # bookkeeping: the default path must keep the seed's exact
-            # cost profile, not pay for a memo it never consults.
-            chain: List[Name] = []
-            current = qname
-            seen = {current}
-            while True:
-                zone = self._zones.zone_for(current)
-                if zone is None:
-                    return ResolutionResult(
-                        qname, qtype, ResolutionStatus.NXDOMAIN, chain
-                    )
-                direct = zone.lookup(current, qtype)
-                if direct:
-                    self._observe(direct, at)
-                    return ResolutionResult(
-                        qname, qtype, ResolutionStatus.NOERROR, chain, direct
-                    )
-                cnames = (
-                    [] if qtype == RRType.CNAME else zone.lookup(current, RRType.CNAME)
-                )
-                if cnames:
-                    self._observe(cnames, at)
-                    target = cnames[0].rdata
-                    chain.append(target)
-                    if target in seen or len(chain) > MAX_CHAIN_LENGTH:
-                        return ResolutionResult(
-                            qname, qtype, ResolutionStatus.SERVFAIL, chain
-                        )
-                    seen.add(target)
-                    current = target
-                    continue
-                if zone.name_exists(current):
-                    return ResolutionResult(
-                        qname, qtype, ResolutionStatus.NODATA, chain
-                    )
-                return ResolutionResult(qname, qtype, ResolutionStatus.NXDOMAIN, chain)
         key = (qname, qtype)
         memo = self._memo.get(key)
         if memo is not None and self._memo_valid(memo):
@@ -243,10 +198,11 @@ class Resolver:
         touched: List = []
         observed: List = []
         chain: List[Name] = []
+        # ``qname`` is normalized by :meth:`resolve` and CNAME rdata at
+        # record construction, so every name walked is already normal.
         current = qname
         seen = {current}
         while True:
-            current = normalize_name(current)
             zone = self._zones.zone_for(current)
             if zone is None:
                 touched.append((None, current, 0, None, 0))
@@ -258,9 +214,9 @@ class Resolver:
                 wkey = None
                 wkey_ver = 0
             else:
-                parent = parent_name(current)
-                wkey = f"*.{parent}" if parent is not None else None
-                wkey_ver = zone.name_version(wkey) if wkey is not None else 0
+                _, dot, parent = current.partition(".")
+                wkey = f"*.{parent}" if dot else None
+                wkey_ver = zone.name_version(wkey) if dot else 0
             touched.append(
                 (zone, current, zone.name_version(current), wkey, wkey_ver)
             )

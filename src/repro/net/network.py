@@ -42,8 +42,8 @@ class Network:
         self._hosts: Dict[str, Host] = {}
         self.fault_plan = fault_plan
         #: Optional :class:`repro.sim.revisions.RevisionJournal`; when
-        #: set, every (un)bind bumps ``("net", ip)`` so incremental
-        #: sweeps notice addresses going dark or lighting back up.
+        #: set, every (un)bind bumps ``("net", ip)`` so the weekly
+        #: sweep notices addresses going dark or lighting back up.
         self.journal = journal
 
     def bind(self, ip: str, host: Host) -> None:

@@ -348,11 +348,11 @@ def parity_projection(events: List[Dict]) -> List[Dict]:
     """The executor-invariant slice of the sim projection.
 
     Drops the sweep's shard spans (the serial reference sweep has
-    none) and the trailing metrics snapshot (whose sweep-path and
-    journal counters depend on the executor and on ``--incremental``).
-    What survives — the stage, analysis and checkpoint spans with their
-    causal ids — must be byte-identical for one seed across sweep
-    executors and ``--incremental`` on/off.
+    none) and the trailing metrics snapshot (whose sweep-path, resolver
+    and journal counters depend on the executor: the serial reference
+    sweep never clean-skips).  What survives — the stage, analysis and
+    checkpoint spans with their causal ids — must be byte-identical for
+    one seed across the production sweep and the serial reference.
     """
     kept: List[Dict] = []
     for event in events:

@@ -38,7 +38,7 @@ class StaticSite:
         #: Set by :meth:`bind_journal` when a cloud provider adopts the
         #: site.  ``journal_key`` is the site's stable identity in the
         #: world journal; content edits bump ``("site", journal_key)``
-        #: so incremental sweeps can trust an untouched revision.
+        #: so the weekly sweep can trust an untouched revision.
         self._journal = None
         self.journal_key = None
 

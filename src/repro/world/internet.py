@@ -65,7 +65,7 @@ class Internet:
         self.events = EventLog()
         #: World-wide revision journal: every mutation path (DNS, net
         #: bindings, edge routing, site content, cloud lifecycle)
-        #: publishes through it, giving incremental sweeps one place to
+        #: publishes through it, giving the weekly sweep one place to
         #: ask "what changed since my last pass?".
         self.revisions = RevisionJournal(self.events)
         #: The shared fault-injection plan (``None`` = fully healthy

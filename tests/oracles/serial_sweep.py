@@ -3,8 +3,10 @@
 One in-process pass over the monitored list, sampling every FQDN through
 the reference sampler (:func:`~tests.oracles.reference_sampler.reference_sample`)
 and recording each sample into the store as soon as it is taken — no
-touch markers, no direct transport, no resolver memo and no extraction
-cache.  This is the seed pipeline's sweep verbatim, plus the one
+clean skips, no touch markers, no direct transport and no extraction
+cache (it resolves through the world's resolver, whose memo is always
+on; ``tests/oracles/skip_audit.py`` re-derives states without it).
+This is the seed pipeline's sweep verbatim, plus the one
 dead-letter rule production also follows: a ``FaultConfig.poison_fqdns``
 subject is never sampled and becomes one ``(fqdn, reason)`` dead
 letter.  Production runs :class:`~repro.core.sweep.ProcessExecutor`;

@@ -90,3 +90,27 @@ def test_no_passive_observation_without_timestamp():
     pdns = PassiveDNS()
     Resolver(zones, pdns).resolve("a.example.com")  # no at=
     assert len(pdns) == 0
+
+
+def test_memo_is_on_from_construction_and_tracks_zone_changes():
+    zones, org, cloud = _world()
+    cname = ResourceRecord("app.example.com", RRType.CNAME, "res.azurewebsites.net")
+    org.add(cname, T0)
+    cloud.add(ResourceRecord("res.azurewebsites.net", RRType.A, "40.1.2.3"), T0)
+    pdns = PassiveDNS()
+    resolver = Resolver(zones, pdns)
+    first = resolver.resolve("app.example.com", at=T0)
+    entry = resolver.memo_entry("app.example.com", RRType.A)
+    assert entry is not None
+    # A repeat is the same memo entry, and it replays the walk's
+    # passive-DNS observations.
+    again = resolver.resolve("app.example.com", at=T0)
+    assert resolver.memo_entry("app.example.com", RRType.A) is entry
+    assert (again.status, again.cname_chain, again.addresses) == (
+        first.status, first.cname_chain, first.addresses
+    )
+    assert pdns.observation_for(cname).count == 2
+    # A change to any name the walk consulted evicts the entry.
+    cloud.replace("res.azurewebsites.net", RRType.A, "40.9.9.9", T0)
+    assert resolver.memo_entry("app.example.com", RRType.A) is None
+    assert resolver.resolve("app.example.com", at=T0).addresses == ["40.9.9.9"]

@@ -331,6 +331,29 @@ def _counting_sampler(monkeypatch, raise_for=None):
     return calls
 
 
+def _counting_handler(monkeypatch, raise_for):
+    """Interpose both ways a journal-driven sweep handles a name.
+
+    Logs each name once, when it is sampled or clean-skipped, and
+    raises for ``raise_for`` on whichever of the two paths it takes,
+    after the counters already moved.
+    """
+    calls = _counting_sampler(monkeypatch, raise_for=raise_for)
+    real = WeeklyMonitor.extend_if_clean
+
+    def extend_if_clean(monitor, fqdn, *args, **kwargs):
+        if not real(monitor, fqdn, *args, **kwargs):
+            return False
+        calls.append(fqdn)
+        if fqdn == raise_for:
+            monitor.sitemap_fetches += 1
+            raise RuntimeError(f"extractor bug on {fqdn}")
+        return True
+
+    monkeypatch.setattr(WeeklyMonitor, "extend_if_clean", extend_if_clean)
+    return calls
+
+
 def test_raising_name_is_one_dead_letter_sampled_once(monkeypatch):
     config = ScenarioConfig.tiny()
     config.weeks = 4
@@ -340,9 +363,10 @@ def test_raising_name_is_one_dead_letter_sampled_once(monkeypatch):
     fqdns = list(result.collector.monitored_sorted)
     bad = fqdns[len(fqdns) // 2]
     samples0 = result.monitor.samples_taken
-    calls = _counting_sampler(monkeypatch, raise_for=bad)
+    calls = _counting_handler(monkeypatch, raise_for=bad)
     engine.run(max_weeks=1)
-    # Exactly one sample call per name: nothing is re-sampled.
+    # Each name is handled exactly once, by a sample or a clean skip,
+    # in list order: nothing is re-sampled.
     assert calls == fqdns
     report = result.executor.last_report
     assert report.dead_letters == [(bad, f"RuntimeError: extractor bug on {bad}")]

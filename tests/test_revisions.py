@@ -2,8 +2,8 @@
 
 Covers the `repro.sim.revisions` journal itself (bump/cursor/changed
 semantics, event publication), the monitor's size-capped TouchLedger,
-the journal wiring of every world-mutation path, and the tentpole
-contract: incremental sweeps extend clean names' windows from ledger
+the journal wiring of every world-mutation path, and the sweep
+contract: journal-driven sweeps extend clean names' windows from ledger
 proofs, pick up every kind of staleness (content mutation, resource
 re-registration, new zone registration), and stay byte-identical to a
 full sweep's.
@@ -168,13 +168,11 @@ def test_network_bind_unbind_publish_net_revisions():
     assert internet.revisions.revision("net", resource.ip) == 2
 
 
-# -- incremental sweep contract --------------------------------------------
+# -- journal-driven sweep contract -----------------------------------------
 
 
-def _incremental_monitor(internet):
-    return WeeklyMonitor(
-        internet.client, journal=internet.revisions, incremental=True
-    )
+def _journal_monitor(internet):
+    return WeeklyMonitor(internet.client, journal=internet.revisions)
 
 
 def _run_weeks(internet, monitor, executor, fqdns, schedule, weeks):
@@ -203,11 +201,11 @@ def _executors():
 
 
 def _parity_case(executor_kwargs, schedule_builder, weeks=6):
-    """Run the same mutation schedule full vs incremental; assert equal."""
+    """Run the same mutation schedule full vs journal-driven; assert equal."""
     baseline_net = _internet()
     _, baseline_resource, fqdn = _victim(baseline_net)
-    incremental_net = _internet()
-    _, incremental_resource, fqdn2 = _victim(incremental_net)
+    journal_net = _internet()
+    _, journal_resource, fqdn2 = _victim(journal_net)
     assert fqdn == fqdn2
 
     base_reports, base_hist = _run_weeks(
@@ -219,11 +217,11 @@ def _parity_case(executor_kwargs, schedule_builder, weeks=6):
         weeks,
     )
     inc_reports, inc_hist = _run_weeks(
-        incremental_net,
-        _incremental_monitor(incremental_net),
+        journal_net,
+        _journal_monitor(journal_net),
         ProcessExecutor(**executor_kwargs),
         [fqdn],
-        schedule_builder(incremental_net, incremental_resource),
+        schedule_builder(journal_net, journal_resource),
         weeks,
     )
     assert inc_hist == base_hist
@@ -294,7 +292,7 @@ def test_new_provider_zone_registration_dirties_ledger_entries(executor_kwargs):
 def test_clean_names_are_skipped_and_dirty_names_are_counted(executor_kwargs):
     internet = _internet()
     _, resource, fqdn = _victim(internet)
-    monitor = _incremental_monitor(internet)
+    monitor = _journal_monitor(internet)
     executor = ProcessExecutor(**executor_kwargs)
     registry = MetricsRegistry()
     OBS.configure(metrics=registry)
@@ -318,7 +316,7 @@ def test_clean_names_are_skipped_and_dirty_names_are_counted(executor_kwargs):
 def test_ledger_cursor_advances_with_the_journal():
     internet = _internet()
     _, _, fqdn = _victim(internet)
-    monitor = _incremental_monitor(internet)
+    monitor = _journal_monitor(internet)
     executor = ProcessExecutor()
     assert monitor.touch_ledger.cursor == 0
     executor.sweep(monitor, [fqdn], T0)

@@ -1,9 +1,9 @@
 """Differential check: the default sweep against the serial oracle.
 
 Each case runs the tiny scenario twice: once as built (the in-process
-``ProcessExecutor``: the one sampler with touch markers, the resolver
-memo and the extraction cache, over the direct transport on a
-quiescent world and through ``HttpClient.fetch`` otherwise) and once
+``ProcessExecutor``: journal-driven clean skips and the one sampler
+with touch markers and the extraction cache, over the direct transport
+on a quiescent world and through ``HttpClient.fetch`` otherwise) and once
 with the sweep stage swapped for the serial oracle and its reference
 sampler.  Both runs must export byte-identical ``--export`` datasets
 and ``--report-json`` documents — with faults off, under chaos storms
@@ -129,5 +129,18 @@ def test_chaos_sweep_touches_and_matches_oracle_histories():
     assert counters.get("sweep.sample.touch", 0) > 0
     assert counters.get("sweep.shards.generic", 0) > 0
     assert counters.get("sweep.shards.fused", 0) == 0
+    assert default[2] == oracle[2]
+    assert default[3] == oracle[3]
+
+
+def test_clean_sweep_skips_and_matches_oracle_histories():
+    # On a quiescent world most names are clean-skipped from their
+    # ledger proofs, with the oracle's exact store histories.
+    metrics = MetricsRegistry()
+    default = _exports(_config(2, chaos=False), oracle=False, metrics=metrics)
+    oracle = _exports(_config(2, chaos=False), oracle=True)
+    counters = metrics.counters()
+    assert counters.get("journal.clean_skips", 0) > 0
+    assert counters.get("sweep.shards.fused", 0) > 0
     assert default[2] == oracle[2]
     assert default[3] == oracle[3]

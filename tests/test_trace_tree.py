@@ -6,7 +6,7 @@ parenting, the tracer's context-manager close-on-error contract, the
 metric-key label escaping and per-series histogram bounds fixes, the
 week-series delta math, and two cross-run contracts: same-seed sim
 projections (ids included) byte-identical across sweep executors and
-incremental modes, and the Chrome trace-event export loading as valid,
+with or without clean skips, and the Chrome trace-event export loading as valid,
 monotonic trace JSON with one process lane.
 """
 
@@ -31,6 +31,7 @@ from repro.obs import (
     sim_projection,
 )
 from repro.obs.chrome import chrome_trace, render_chrome
+from tests.oracles.null_ledger import use_null_ledger
 from tests.oracles.serial_sweep import use_serial_sweep
 
 T0 = datetime(2020, 1, 6)
@@ -211,13 +212,14 @@ def test_stage_rows_accumulate_and_shard_rss_takes_the_max():
 # -- cross-topology projection parity --------------------------------------
 
 
-def _traced_scenario(weeks=4, incremental=False, oracle=False):
+def _traced_scenario(weeks=4, oracle=False, no_skip=False):
     config = ScenarioConfig.tiny()
     config.weeks = weeks
-    config.incremental = incremental
     engine = build_scenario(config)
     if oracle:
         use_serial_sweep(engine)
+    if no_skip:
+        use_null_ledger(engine)
     registry = MetricsRegistry()
     tracer = BufferTracer()
     OBS.configure(metrics=registry, tracer=tracer,
@@ -242,9 +244,9 @@ def test_same_config_rerun_is_identical_including_ids():
 def test_parity_projection_is_topology_invariant():
     default = _traced_scenario()
     oracle = _traced_scenario(oracle=True)
-    incremental = _traced_scenario(incremental=True)
+    no_skip = _traced_scenario(no_skip=True)
     assert parity_projection(default) == parity_projection(oracle)
-    assert parity_projection(default) == parity_projection(incremental)
+    assert parity_projection(default) == parity_projection(no_skip)
     # The full projections legitimately differ (the serial oracle opens
     # no shard span) — that's exactly what parity_projection factors
     # out.
