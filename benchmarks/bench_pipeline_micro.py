@@ -84,7 +84,7 @@ def test_observability_registry(emit):
 
     The same registry ``--metrics``/``profile`` read: asserts the
     instrumentation actually fires on the sweep hot path (resolver
-    memo, zone memos, sample-path split) and emits the counter table
+    memo, sample-path split) and emits the counter table
     next to the stage timings in ``benchmarks/results/``.
     """
     registry = MetricsRegistry()
@@ -99,7 +99,7 @@ def test_observability_registry(emit):
     counters = registry.counters()
     assert counters["resolver.queries"] > 0
     assert counters["monitor.samples"] > 0
-    assert counters["zone.lookup.memo_misses"] > 0
+    assert counters["resolver.memo.misses"] > 0
     assert counters.get("sweep.shards.fused", 0) > 0
     sampled = (
         counters.get("journal.clean_skips", 0)

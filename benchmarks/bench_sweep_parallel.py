@@ -22,10 +22,10 @@ Runs two ways:
   (≥ 1×).
 
 A second table isolates the revision journal's clean skips on the
-low-churn world: the default sweep against the same sweep with a
-ledger that proves nothing (``tests/oracles/null_ledger.py``), so every
-name is sampled.  The standalone acceptance gate is ≥ 2× sweep
-throughput with a byte-identical export.
+low-churn world: the default sweep against the same sweep with the
+monitor's journal unwired, so no touch ledger is used and every name
+is sampled.  The standalone acceptance gate is ≥ 2× sweep throughput
+with a byte-identical export.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from repro.core.export import dataset_to_json  # noqa: E402
 from repro.core.reporting import render_table  # noqa: E402
 from repro.core.scenario import ScenarioConfig, build_scenario  # noqa: E402
 from repro.core.sweep import ProcessExecutor  # noqa: E402
-from tests.oracles.null_ledger import use_null_ledger  # noqa: E402
 from tests.oracles.serial_sweep import use_serial_sweep  # noqa: E402
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -95,13 +94,16 @@ def run_variant(scale: str, weeks: Optional[int], no_skip: bool = False,
     """One full scenario run; sweep cost read off the stage metrics.
 
     ``oracle`` swaps the sweep stage's executor for the serial oracle;
-    ``no_skip`` gives the default sweep a ledger that proves nothing.
+    ``no_skip`` unwires the monitor's journal, so the default sweep
+    samples every name.
     """
     engine = build_scenario(_config(scale, weeks, low_churn=low_churn))
     if oracle:
         use_serial_sweep(engine)
     if no_skip:
-        use_null_ledger(engine)
+        # Without a journal the sweep passes no touch ledger: every
+        # name is sampled and no proof is minted.
+        engine.payload.monitor.journal = None
     executor = engine.payload.executor
     meter = _CpuMeter(executor)
     engine.run()
@@ -255,7 +257,7 @@ def measure_incremental(scale: str, weeks: Optional[int] = None) -> List[Dict]:
     """No-skip vs default sweep pair on the low-churn scenario.
 
     Both runs share the quiet world (0.2%/week release rate) and the
-    default sweep; only the first one's ledger proves nothing, so the
+    default sweep; only the first one runs without the journal, so the
     comparison isolates the journal's clean-skip savings.  Both must
     export the byte-identical dataset (only the cost moves).
     """
@@ -280,7 +282,7 @@ def render_incremental(pair: List[Dict], scale: str) -> str:
     baseline = pair[0]["throughput"]
     rows = [
         (
-            "default" if run["clean_skips"] else "no-skip ledger",
+            "default" if run["clean_skips"] else "no journal (no skips)",
             run["items"],
             f"{run['wall_s']:.2f}",
             f"{run['throughput']:,.0f}",
@@ -292,7 +294,7 @@ def render_incremental(pair: List[Dict], scale: str) -> str:
         ["sweep mode", "fqdns swept", "sweep wall s", "fqdn/s", "speedup"],
         rows,
         title=(
-            f"Clean skips, no-skip ledger vs default sweep "
+            f"Clean skips, sweep without journal vs default sweep "
             f"({scale} scenario, low churn, {pair[0]['weeks']} weeks, "
             f"digests byte-identical)"
         ),
@@ -374,8 +376,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--scale", default=None,
                         help="internal: scenario scale for --variant")
     parser.add_argument("--no-skip", action="store_true",
-                        help="internal: run the --variant with a ledger "
-                             "that proves nothing (no clean skips)")
+                        help="internal: run the --variant without the "
+                             "monitor's journal (no clean skips)")
     parser.add_argument("--low-churn", action="store_true",
                         help="internal: run the --variant on the quiet "
                              "(0.2%%/week release) world")

@@ -170,8 +170,8 @@ class Resolver:
         outcome the walk saw.  While the registry version is unchanged
         no name can have moved between zones, so only the name versions
         need checking; after a zone registration the cover is
-        re-established per name via the registry's ``zone_for`` memo,
-        and the entry's registry snapshot is refreshed in place so
+        re-established per name via the registry's ``zone_for``, and
+        the entry's registry snapshot is refreshed in place so
         subsequent hits take the cheap path again.
         """
         stale_registry = entry[0] != self._zones.version

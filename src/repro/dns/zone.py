@@ -14,7 +14,6 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.dns.names import Name, is_subdomain_of, normalize_name, parent_name
 from repro.dns.records import RRType, ResourceRecord
-from repro.obs import OBS
 from repro.sim.revisions import RevisionJournal
 
 
@@ -40,23 +39,14 @@ class Zone:
         self._records: Dict[Tuple[Name, RRType], List[ResourceRecord]] = {}
         self._history: List[ZoneChange] = []
         self._record_counts: Dict[Name, int] = {}
-        #: Memo of (name, rtype) → lookup result, cleared on mutation.
-        #: Weekly sweeps re-query the same (mostly unchanged) names, and
-        #: wildcard answers synthesize a record object per query without
-        #: it; memoized, the same synthesized record is reused until the
-        #: zone next changes.
-        self._lookup_cache: Dict[Tuple[Name, RRType], List[ResourceRecord]] = {}
-        #: Monotonic mutation counter.  Resolution memos snapshot it and
-        #: revalidate on every hit, so a stale answer can never outlive
-        #: the zone change that invalidated it.
-        self.version = 0
         #: Per-name revisions live in the world-wide journal under
         #: ``("dns", name)``.  A ``lookup``/``name_exists`` outcome for
         #: ``name`` is fully pinned by the revisions of ``name`` itself
-        #: and of its wildcard key ``*.parent(name)``, so memos
-        #: validated at this granularity survive the weekly churn of
-        #: *other* names in a big shared provider zone.  An unshared
-        #: private journal keeps standalone zones self-contained.
+        #: and of its wildcard key ``*.parent(name)``, so resolver memo
+        #: entries validated at this granularity survive the weekly
+        #: churn of *other* names in a big shared provider zone.  An
+        #: unshared private journal keeps standalone zones
+        #: self-contained.
         self.journal = journal if journal is not None else RevisionJournal()
 
     # -- queries ----------------------------------------------------------
@@ -76,30 +66,18 @@ class Zone:
         serving the provider 404 page.
         """
         normalized = normalize_name(name)
-        cached = self._lookup_cache.get((normalized, rtype))
-        if cached is not None:
-            if OBS.enabled:
-                OBS.metrics.inc("zone.lookup.memo_hits")
-            return list(cached)
-        if OBS.enabled:
-            OBS.metrics.inc("zone.lookup.memo_misses")
-        result: List[ResourceRecord] = []
         exact = self._records.get((normalized, rtype))
         if exact:
-            result = list(exact)
-        elif self._record_counts.get(normalized, 0) > 0:
-            pass  # name exists with other types: wildcard never applies
-        else:
-            parent = parent_name(normalized)
-            if parent is not None and not normalized.startswith("*."):
-                wildcard = self._records.get((f"*.{parent}", rtype))
-                if wildcard:
-                    result = [
-                        ResourceRecord(name=normalized, rtype=rtype, rdata=record.rdata)
-                        for record in wildcard
-                    ]
-        self._lookup_cache[(normalized, rtype)] = result
-        return list(result)
+            return list(exact)
+        if self._record_counts.get(normalized, 0) > 0:
+            return []  # name exists with other types: wildcard never applies
+        parent = parent_name(normalized)
+        if parent is None or normalized.startswith("*."):
+            return []
+        return [
+            ResourceRecord(name=normalized, rtype=rtype, rdata=record.rdata)
+            for record in self._records.get((f"*.{parent}", rtype), ())
+        ]
 
     def name_version(self, name: Name) -> int:
         """Mutation counter for ``name`` alone (0 = never mutated)."""
@@ -148,8 +126,6 @@ class Zone:
         bucket.append(record)
         self._record_counts[record.name] = self._record_counts.get(record.name, 0) + 1
         self._history.append(ZoneChange(at=at, action="add", record=record))
-        self._lookup_cache.clear()
-        self.version += 1
         self.journal.bump("dns", record.name)
         return record
 
@@ -161,8 +137,6 @@ class Zone:
         bucket.remove(record)
         self._record_counts[record.name] -= 1
         self._history.append(ZoneChange(at=at, action="remove", record=record))
-        self._lookup_cache.clear()
-        self.version += 1
         self.journal.bump("dns", record.name)
 
     def remove_all(self, name: Name, rtype: RRType, at: datetime) -> int:
@@ -194,11 +168,6 @@ class ZoneRegistry:
         #: creates; a private one keeps standalone registries working.
         self.journal = journal if journal is not None else RevisionJournal()
         self._zones: Dict[Name, Zone] = {}
-        #: Memo of name → covering zone (``None`` = no zone covers it),
-        #: invalidated whenever a zone is registered.  Zone *content*
-        #: changes never move a name between zones, so registration is
-        #: the only invalidation point.
-        self._zone_for: Dict[Name, Optional[Zone]] = {}
         #: Monotonic registration counter — bumps when the zone *set*
         #: changes, which is the only event that can move a name between
         #: zones (or from "no covering zone" to covered).
@@ -211,9 +180,6 @@ class ZoneRegistry:
             raise ValueError(f"zone {normalized} already exists")
         zone = Zone(normalized, journal=self.journal)
         self._zones[normalized] = zone
-        # A new zone may now be the most specific cover for previously
-        # memoized names (including negative entries): drop the memo.
-        self._zone_for.clear()
         self.version += 1
         # The zone *set* changing can re-route any name's resolution,
         # so it is a change signal of its own.
@@ -230,21 +196,12 @@ class ZoneRegistry:
         Walks the suffixes of ``name`` from longest to shortest, so the
         cost is O(label count), not O(zone count).
         """
-        normalized = normalize_name(name)
-        if normalized in self._zone_for:
-            if OBS.enabled:
-                OBS.metrics.inc("zone.zone_for.memo_hits")
-            return self._zone_for[normalized]
-        if OBS.enabled:
-            OBS.metrics.inc("zone.zone_for.memo_misses")
-        labels = normalized.split(".")
-        zone = None
+        labels = normalize_name(name).split(".")
         for start in range(len(labels)):
             zone = self._zones.get(".".join(labels[start:]))
             if zone is not None:
-                break
-        self._zone_for[normalized] = zone
-        return zone
+                return zone
+        return None
 
     def zones(self) -> Iterable[Zone]:
         """All registered zones."""

@@ -2,8 +2,8 @@
 
 Renders what the tracer and registry collected over one scenario run:
 the top spans by total wall time (per-stage and per-shard timings),
-the cache hit rates that justify the fast path (resolver memo, zone
-lookup memos, extraction cache), and the retry/breaker heat per edge.
+the cache hit rates that justify the fast path (resolver memo,
+extraction cache, touch ledger), and the retry/breaker heat per edge.
 All tables degrade gracefully — a healthy run simply shows zero
 retries and no breaker transitions.
 """
@@ -17,8 +17,6 @@ from repro.core.reporting import percent, render_table
 #: (label, hits counter, misses counter) rows of the hit-rate table.
 CACHE_SERIES: Tuple[Tuple[str, str, str], ...] = (
     ("resolver memo", "resolver.memo.hits", "resolver.memo.misses"),
-    ("zone lookup", "zone.lookup.memo_hits", "zone.lookup.memo_misses"),
-    ("zone cover (zone_for)", "zone.zone_for.memo_hits", "zone.zone_for.memo_misses"),
     ("html extraction", "extraction.html.hits", "extraction.html.misses"),
     ("sitemap extraction", "extraction.sitemap.hits", "extraction.sitemap.misses"),
     ("touch ledger (clean skips)", "journal.clean_skips", "sweep.sample.full"),

@@ -8,8 +8,8 @@ checks that burden while a scenario runs.  It wraps a built engine's
 monitor so that every clean skip (``extend_if_clean`` returning True)
 is re-derived independently by the reference sampler, through a fresh
 :class:`~repro.dns.resolver.Resolver` (an empty memo, no passive-DNS
-feed) over a memo-free view of the same zones (:class:`ColdZones`) and
-a fresh client and monitor (no extraction cache, no fault plan, no
+feed) over the same zones, which keep no memo of their own, and a
+fresh client and monitor (no extraction cache, no fault plan, no
 breaker).  The re-derived ``state_key`` must equal the stored state the
 skip extended; each disagreement is kept as a :class:`SkipMismatch`.
 
@@ -25,10 +25,9 @@ from datetime import datetime
 from typing import Dict, List, Tuple
 
 from repro.core.monitoring import SnapshotFeatures, WeeklyMonitor
-from repro.dns.names import Name, normalize_name, parent_name
-from repro.dns.records import RRType, ResourceRecord
+from repro.dns.names import Name
 from repro.dns.resolver import Resolver
-from repro.dns.zone import Zone, ZoneRegistry
+from repro.dns.zone import ZoneRegistry
 from repro.obs import OBS
 from repro.web.client import HttpClient
 from tests.oracles.reference_sampler import reference_sample
@@ -38,59 +37,6 @@ STATE_KEY_FIELDS = (
     "dns_status", "cname_chain", "addresses", "fetch_status",
     "http_status", "html_hash", "sitemap_size", "sitemap_count",
 )
-
-
-class ColdZone:
-    """One zone's records, looked up without its lookup memo."""
-
-    def __init__(self, zone: Zone):
-        self._zone = zone
-
-    def lookup(self, name: Name, rtype: RRType) -> List[ResourceRecord]:
-        name = normalize_name(name)
-        zone = self._zone
-        exact = zone._records.get((name, rtype))
-        if exact:
-            return list(exact)
-        if zone.name_exists(name):
-            return []  # the name has other types: no wildcard applies
-        parent = parent_name(name)
-        if parent is None or name.startswith("*."):
-            return []
-        wildcard = zone._records.get((f"*.{parent}", rtype), ())
-        return [
-            ResourceRecord(name=name, rtype=rtype, rdata=record.rdata)
-            for record in wildcard
-        ]
-
-    def name_exists(self, name: Name) -> bool:
-        return self._zone.name_exists(name)
-
-    def name_version(self, name: Name) -> int:
-        return self._zone.name_version(name)
-
-
-class ColdZones:
-    """A :class:`ZoneRegistry` read without its ``zone_for`` memo.
-
-    With :class:`ColdZone` neither zone memo is read or filled, so an
-    audit neither trusts them nor moves their hit counters.
-    """
-
-    def __init__(self, registry: ZoneRegistry):
-        self._registry = registry
-
-    @property
-    def version(self) -> int:
-        return self._registry.version
-
-    def zone_for(self, name: Name):
-        labels = normalize_name(name).split(".")
-        for start in range(len(labels)):
-            zone = self._registry.get_zone(".".join(labels[start:]))
-            if zone is not None:
-                return ColdZone(zone)
-        return None
 
 
 @dataclass(frozen=True)
@@ -144,7 +90,7 @@ class SkipAudit:
     def rederive(self, fqdn: Name, at: datetime) -> SnapshotFeatures:
         """``fqdn``'s state at ``at``, sampled from scratch."""
         client = HttpClient(
-            Resolver(ColdZones(self.zones)), self.monitor.client.network
+            Resolver(self.zones), self.monitor.client.network
         )
         sampler = WeeklyMonitor(
             client, store=self.monitor.store, config=self.monitor.config
