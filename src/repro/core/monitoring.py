@@ -24,7 +24,6 @@ always has.
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
@@ -39,9 +38,9 @@ from repro.core.sigindex import (
 from repro.dns.names import Name
 from repro.dns.records import RRType
 from repro.dns.resolver import ResolutionStatus, Resolver
-from repro.dns.zone import ZONE_SET_KEY
 from repro.faults.retry import RetryPolicy
 from repro.obs import OBS
+from repro.sim.revisions import JournalCache, Subject
 from repro.web.client import FetchOutcome, FetchStatus, HttpClient
 from repro.web.html import parse_html
 from repro.web.http import HttpRequest
@@ -263,24 +262,19 @@ class ExtractionCache:
     misses: int = 0
 
 
-#: Maximum entries a monitor's :class:`TouchLedger` retains.  An entry
-#: is small, but a 3-year scenario monitors a growing population: the
-#: cap bounds memory and evicts the least recently refreshed names
-#: first (they just fall back to full samples).
-TOUCH_LEDGER_CAP = 65536
-
-
 @dataclass(frozen=True)
 class TouchEntry:
     """Proof that a name's last full sample is still current.
 
-    ``deps`` are the revision-journal subjects the sample's outcome
-    depends on — the DNS names its resolution walked (exact and
-    wildcard keys, plus the zone-set key), the edge route and network
+    A monitor's touch ledger is a
+    :class:`~repro.sim.revisions.JournalCache` of these, keyed by FQDN
+    and filed under the revision-journal subjects the sample's outcome
+    depends on — the DNS subjects its resolution walked (see
+    ``Resolver._walk``), the edge route and network
     binding it was served through, and the site whose content it
-    hashed.  While none of those subjects move in the journal, the
-    name's observable state provably equals ``state_key`` and a sweep
-    may extend its observation window without re-sampling.
+    hashed.  While the entry lives, none of those subjects has moved,
+    so the name's observable state provably equals ``state_key`` and a
+    sweep may extend its observation window without re-sampling.
 
     ``observed`` replays the passive-DNS observations the skipped
     resolution would have produced, keeping exports byte-identical.
@@ -289,54 +283,8 @@ class TouchEntry:
     """
 
     fqdn: Name
-    deps: Tuple[Tuple[str, object], ...]
     state_key: Tuple
     observed: Tuple = ()
-
-
-class TouchLedger:
-    """Size-capped store of :class:`TouchEntry` proofs, monitor-owned.
-
-    Entries are validated against the revision journal (value
-    semantics), not against Python object identity, so they stay valid
-    across checkpoint resumes and site types.  ``cursor`` marks the
-    journal position the
-    ledger was last reconciled at: every live entry's dependencies are
-    unchanged as of that cursor, so one ``changed_since(cursor)`` call
-    yields the sweep's dirty set.
-    """
-
-    def __init__(self, cap: int = TOUCH_LEDGER_CAP):
-        if cap <= 0:
-            raise ValueError(f"cap must be positive, got {cap}")
-        self.cap = cap
-        self._entries: "OrderedDict[Name, TouchEntry]" = OrderedDict()
-        #: Journal cursor as of the last completed sweep.
-        self.cursor = 0
-        self.evictions = 0
-
-    def get(self, fqdn: Name) -> Optional[TouchEntry]:
-        """The entry for ``fqdn``, if any.  Read-only: recency order is
-        deliberately not updated, so only :meth:`put` order decides
-        evictions."""
-        return self._entries.get(fqdn)
-
-    def put(self, fqdn: Name, entry: TouchEntry) -> None:
-        """Insert or refresh ``fqdn``'s entry, evicting when over cap."""
-        self._entries[fqdn] = entry
-        self._entries.move_to_end(fqdn)
-        while len(self._entries) > self.cap:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-            if OBS.enabled:
-                OBS.metrics.inc("monitor.touch_ledger.evictions")
-
-    def invalidate(self, fqdn: Name) -> None:
-        """Drop ``fqdn``'s entry (no-op when absent)."""
-        self._entries.pop(fqdn, None)
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 #: Enum ``.value`` reads hoisted out of the per-name sampler — each is a
@@ -380,18 +328,17 @@ def _body_hash(body: str) -> str:
     return cached
 
 
-def _touch_entry(
+def _touch_proof(
     resolver: Resolver, fqdn: Name, ip: str, host, previous: SnapshotFeatures
-) -> Optional[TouchEntry]:
-    """Build the :class:`TouchEntry` proving a direct touch outcome.
+) -> Optional[Tuple[TouchEntry, Tuple[Subject, ...]]]:
+    """The :class:`TouchEntry` proving a direct touch outcome, with its deps.
 
-    Captures every revision-journal subject the sample's outcome
-    depends on: the DNS names the resolution walked (exact and wildcard
-    keys) plus the zone-set key, the edge route and network binding the
-    response came through, and the journal-adopted site whose content
-    was hashed.  While none of those subjects move, the observable
-    state provably equals ``previous.state_key()``.  Entries are plain
-    data, so they survive checkpoint pickling.
+    The deps are every revision-journal subject the sample's outcome
+    depends on: those of the resolver memo entry the sample just used,
+    the edge route and network binding the response came through, and
+    the journal-adopted site whose content was hashed.  While none of
+    those subjects move, the observable state provably equals
+    ``previous.state_key()``.
     """
     site_for = getattr(host, "site_for", None)
     if site_for is None:
@@ -401,28 +348,16 @@ def _touch_entry(
         # Unadopted content (no provider bound it to the journal) has
         # no change signal; it must keep taking the full sample.
         return None
-    res_entry = resolver.memo_entry(fqdn, RRType.A)
-    if res_entry is None:
+    resolution = resolver.memo_entry(fqdn, RRType.A)
+    if resolution is None:
         return None
-    deps = [("dns", ZONE_SET_KEY)]
-    for _zone, name, _ver, wkey, _wver in Resolver.memo_touched(res_entry):
-        deps.append(("dns", name))
-        if wkey is not None:
-            deps.append(("dns", wkey))
-    deps.append(("web", fqdn.lower()))
-    deps.append(("net", ip))
-    deps.append(("site", site_key))
+    deps = resolution.deps + (
+        ("web", fqdn.lower()), ("net", ip), ("site", site_key)
+    )
     observed = tuple(
-        record
-        for group in Resolver.memo_observed(res_entry)
-        for record in group
+        record for group in resolution.observed for record in group
     )
-    return TouchEntry(
-        fqdn=fqdn,
-        deps=tuple(deps),
-        state_key=previous.state_key(),
-        observed=observed,
-    )
+    return TouchEntry(fqdn, previous.state_key(), observed), deps
 
 
 def fast_path_eligible(monitor: "WeeklyMonitor") -> bool:
@@ -461,12 +396,14 @@ class WeeklyMonitor:
         #: re-extract).
         self.extraction_cache = extraction_cache
         #: The world's :class:`repro.sim.revisions.RevisionJournal`.
-        #: With one wired, sweeps compute a dirty set from the journal
-        #: and extend clean names' windows through the
-        #: :class:`TouchLedger` instead of re-sampling them; without
-        #: one every name is sampled.
+        #: With one wired, sweeps extend clean names' windows from the
+        #: touch ledger — a journal-evicted cache of
+        #: :class:`TouchEntry` proofs — instead of re-sampling them;
+        #: without one every name is sampled.
         self.journal = journal
-        self.touch_ledger = TouchLedger()
+        self.touch_ledger = (
+            JournalCache(journal, "journal.dirty") if journal is not None else None
+        )
         self.samples_taken = 0
         self.sitemap_fetches = 0
 
@@ -480,7 +417,7 @@ class WeeklyMonitor:
         fqdn: Name,
         at: datetime,
         direct: Optional[bool] = None,
-        ledger: Optional[TouchLedger] = None,
+        ledger: Optional[JournalCache] = None,
     ) -> Union[SnapshotFeatures, Name]:
         """One weekly sample: index fetch, plus sitemap when warranted.
 
@@ -504,8 +441,8 @@ class WeeklyMonitor:
 
         With a ``ledger`` (a journal-driven sweep) a direct touch marker
         mints a :class:`TouchEntry` proof so future sweeps can skip the
-        name while its journal dependencies stay put; any other touch
-        drops the name's old proof, which the journal has shown stale.
+        name until the journal evicts it; any other touch drops the
+        name's old proof.
         """
         self.samples_taken += 1
         if OBS.enabled:
@@ -556,18 +493,18 @@ class WeeklyMonitor:
                 and previous.sitemap_count >= 0
             ):
                 if ledger is not None:
-                    entry = (
-                        _touch_entry(
+                    proof = (
+                        _touch_proof(
                             self._client.resolver, fqdn, addresses[0], host,
                             previous,
                         )
                         if direct
                         else None
                     )
-                    if entry is not None:
-                        ledger.put(fqdn, entry)
+                    if proof is not None:
+                        ledger.put(fqdn, *proof)
                     else:
-                        ledger.invalidate(fqdn)
+                        ledger.discard(fqdn)
                 return fqdn
             # Unchanged content: carry the stored extraction (and the
             # status it was fetched with) rather than re-parsing.
@@ -603,28 +540,21 @@ class WeeklyMonitor:
             **html,
         )
 
-    def extend_if_clean(self, fqdn: Name, at: datetime, changed) -> bool:
+    def extend_if_clean(self, fqdn: Name, at: datetime) -> bool:
         """Extend a clean name's window from its touch-ledger proof.
 
         True means the name is provably unchanged: it holds a ledger
-        entry, none of the entry's journal dependencies is in
-        ``changed`` (the subjects moved since the ledger's cursor), and
-        the stored state the entry extends is still current.  The only
-        side effects are the passive-DNS observations the skipped
-        resolution would have produced, replayed by value, plus the
-        sample counter; the caller extends the stored state's window.
+        entry (the journal has not evicted it) and the stored state the
+        entry extends is still current.  The only side effects are the
+        passive-DNS observations the skipped resolution would have
+        produced, replayed by value, plus the sample counter; the
+        caller extends the stored state's window.
         """
         entry = self.touch_ledger.get(fqdn)
         if entry is None:
             return False
-        if changed and not changed.isdisjoint(entry.deps):
-            if OBS.enabled:
-                OBS.metrics.inc("journal.dirty")
-            return False
         latest = self.store.latest(fqdn)
         if latest is None or latest.state_key() != entry.state_key:
-            if OBS.enabled:
-                OBS.metrics.inc("journal.dirty")
             return False
         feed = self._client.resolver.passive_dns
         if feed is not None:

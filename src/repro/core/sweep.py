@@ -13,10 +13,11 @@ by :func:`~repro.core.monitoring.fast_path_eligible`.
 
 The sweep is journal-driven whenever the monitor has a revision
 journal, as every built scenario's does.  On the direct transport a
-name whose touch-ledger proof names no journal subject that moved since
-the last sweep is not sampled at all: ``WeeklyMonitor.extend_if_clean``
-extends its stored state instead (a *clean skip*).  Proofs are only
-minted on the direct transport, so faulty worlds sample every name.
+name that still holds a touch-ledger proof — the journal evicts a proof
+as soon as a subject it depends on moves — is not sampled at all:
+``WeeklyMonitor.extend_if_clean`` extends its stored state instead (a
+*clean skip*).  Proofs are only minted on the direct transport, so
+faulty worlds sample every name.
 
 Failure isolation is per name.  A name whose sample raises — a bug, an
 unsampleable input, a ``FaultConfig.poison_fqdns`` subject — becomes
@@ -138,13 +139,8 @@ class ProcessExecutor(SweepExecutor):
                 "sweep.shards.fused" if direct else "sweep.shards.generic"
             )
         ledger = monitor.touch_ledger if monitor.journal is not None else None
-        changed = None
-        if ledger is not None and direct:
-            # The sweep's dirty set: every journal subject that moved
-            # since the ledger's cursor.  Empty in the steady state,
-            # making the per-name check one dict get plus a guard.
-            # Proofs only exist for the direct transport.
-            changed = monitor.journal.changed_since(ledger.cursor)
+        # Proofs only exist for the direct transport.
+        skip = ledger is not None and direct
         # ``seq=0`` pins the span's path id: one shard span per sweep.
         with OBS.tracer.span(
             "sweep.shard", sim=at, seq=0, shard=0, size=len(fqdns),
@@ -160,9 +156,7 @@ class ProcessExecutor(SweepExecutor):
                 try:
                     if poison and fqdn.lower() in poison:
                         raise PoisonedName(fqdn)
-                    if changed is not None and monitor.extend_if_clean(
-                        fqdn, at, changed
-                    ):
+                    if skip and monitor.extend_if_clean(fqdn, at):
                         if obs_on:
                             OBS.metrics.inc("monitor.samples")
                             OBS.metrics.inc("journal.clean_skips")
@@ -194,24 +188,20 @@ class ProcessExecutor(SweepExecutor):
                             traceback=traceback.format_exc(),
                         )
                     if ledger is not None:
-                        ledger.invalidate(fqdn)
+                        ledger.discard(fqdn)
                     continue
                 if features.fetch_status in TRANSIENT_SAMPLE_STATUSES:
                     # Retries exhausted and the state is still unknown:
                     # keep the last trusted state, hand the name on.
                     report.failures.append((fqdn, features.fetch_status))
                     if ledger is not None:
-                        ledger.invalidate(fqdn)
+                        ledger.discard(fqdn)
                     continue
                 is_new, previous = store.record(features)
                 if is_new:
                     report.changed.append((features, previous))
                 if ledger is not None:
                     # A full sample supersedes any ledger proof: the
-                    # name was dirty (or unproven), so the old entry
-                    # must not survive into the next sweep.
-                    ledger.invalidate(fqdn)
-        if ledger is not None:
-            # The world is quiescent during a sweep, so every surviving
-            # entry's dependencies are unchanged as of this cursor.
-            ledger.cursor = monitor.journal.cursor()
+                    # name's proof was evicted (or it had none), so no
+                    # entry may survive into the next sweep.
+                    ledger.discard(fqdn)

@@ -14,13 +14,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import List, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.dns.names import Name, normalize_name
 from repro.dns.passive_dns import PassiveDNS
 from repro.dns.records import RRType, ResourceRecord
 from repro.dns.zone import ZoneRegistry
 from repro.obs import OBS
+from repro.sim.revisions import JournalCache, Subject
 
 #: RFC-ish bound on chain length before we declare a loop.
 MAX_CHAIN_LENGTH = 16
@@ -65,6 +66,19 @@ class ResolutionResult:
         return self.status == ResolutionStatus.NOERROR and bool(self.records)
 
 
+class MemoEntry(NamedTuple):
+    """A finished walk, as the resolver memo keeps it."""
+
+    status: ResolutionStatus
+    cname_chain: Tuple[Name, ...]
+    records: Tuple[ResourceRecord, ...]
+    #: The record groups the walk mirrored into passive DNS, in order —
+    #: what a hit replays.
+    observed: Tuple[Tuple[ResourceRecord, ...], ...]
+    #: The journal subjects that pin the outcome (see ``_walk``).
+    deps: Tuple[Subject, ...]
+
+
 class Resolver:
     """A recursive resolver over a :class:`ZoneRegistry`.
 
@@ -84,21 +98,19 @@ class Resolver:
         self._zones = zones
         self._passive_dns = passive_dns
         self.fault_plan = fault_plan
-        #: Memo of (qname, qtype) → finished walk, always on: every
-        #: query goes through :meth:`_walk` or a validated hit.  The
-        #: world re-resolves the same mostly-unchanged names thousands
-        #: of times; a memo entry pins every *name* the walk consulted
-        #: — the per-name mutation versions of the name and its
-        #: wildcard key, plus which zone covered it — and is discarded
-        #: the moment any of them has moved on.  Per-name granularity
-        #: matters: one record churned in a shared provider zone (or a
-        #: new unrelated zone registered) must not evict the thousands
-        #: of sibling entries a whole-zone version would.  Hits replay
-        #: the identical passive-DNS observations the walk would have
-        #: made, so the corpus the dataset exports is byte-for-byte
-        #: unaffected, and the fault draw comes before the memo, so no
-        #: fault stream moves either.
-        self._memo: dict = {}
+        #: Memo of (qname, qtype) → :class:`MemoEntry`, always on: every
+        #: query is a walk or a hit.  The world re-resolves the same
+        #: mostly-unchanged names thousands of times.  An entry depends
+        #: on the journal subjects of every name the walk consulted, and
+        #: the journal evicts it once any of them is bumped.  Per-name
+        #: granularity matters: one record churned in a shared provider
+        #: zone, or one new zone registered, must not evict the
+        #: thousands of unrelated entries a whole-zone or zone-set
+        #: subject would.  Hits replay the identical passive-DNS
+        #: observations the walk would have made, so the corpus the
+        #: dataset exports is byte-for-byte unaffected, and the fault
+        #: draw comes before the memo, so no fault stream moves either.
+        self._memo = JournalCache(zones.journal, "resolver.memo.evictions")
 
     @property
     def passive_dns(self) -> Optional[PassiveDNS]:
@@ -127,11 +139,11 @@ class Resolver:
                 return ResolutionResult(qname, qtype, status)
         key = (qname, qtype)
         memo = self._memo.get(key)
-        if memo is not None and self._memo_valid(memo):
+        if memo is not None:
+            status, chain, records, observed, _ = memo
             if OBS.enabled:
                 OBS.metrics.inc("resolver.memo.hits")
-                OBS.metrics.observe("resolver.chain_depth", len(memo[3]))
-            status, chain, records, observed = memo[2], memo[3], memo[4], memo[5]
+                OBS.metrics.observe("resolver.chain_depth", len(chain))
             for group in observed:
                 self._observe(group, at)
             return ResolutionResult(
@@ -139,63 +151,33 @@ class Resolver:
             )
         if OBS.enabled:
             OBS.metrics.inc("resolver.memo.misses")
-            if memo is not None:
-                # An entry existed but a zone change invalidated it: the
-                # fresh walk below overwrites it — an eviction.
-                OBS.metrics.inc("resolver.memo.evictions")
-        registry_version = self._zones.version
-        result, touched, observed = self._walk(qname, qtype, at)
-        # A list, not a tuple: a still-valid entry refreshes its
-        # registry-version snapshot in place, keeping its identity
-        # stable while it is valid.
-        self._memo[key] = [
-            registry_version,
-            touched,
-            result.status,
-            tuple(result.cname_chain),
-            tuple(result.records),
-            observed,
-        ]
+        result, deps, observed = self._walk(qname, qtype, at)
+        self._memo.put(
+            key,
+            MemoEntry(
+                result.status, tuple(result.cname_chain),
+                tuple(result.records), observed, deps,
+            ),
+            deps,
+        )
         if OBS.enabled:
             OBS.metrics.observe("resolver.chain_depth", len(result.cname_chain))
         return result
 
-    def _memo_valid(self, entry) -> bool:
-        """Whether a fresh walk would provably repeat ``entry``.
-
-        Each touched tuple is ``(zone, name, name_ver, wkey, wkey_ver)``
-        — the zone that covered ``name`` (``None`` for an uncovered
-        NXDOMAIN) and the per-name mutation versions of the name and its
-        wildcard key, which together pin every ``lookup``/``name_exists``
-        outcome the walk saw.  While the registry version is unchanged
-        no name can have moved between zones, so only the name versions
-        need checking; after a zone registration the cover is
-        re-established per name via the registry's ``zone_for``, and
-        the entry's registry snapshot is refreshed in place so
-        subsequent hits take the cheap path again.
-        """
-        stale_registry = entry[0] != self._zones.version
-        for zone, name, name_ver, wkey, wkey_ver in entry[1]:
-            if stale_registry and self._zones.zone_for(name) is not zone:
-                return False
-            if zone is not None:
-                if zone.name_version(name) != name_ver:
-                    return False
-                if wkey is not None and zone.name_version(wkey) != wkey_ver:
-                    return False
-        if stale_registry:
-            entry[0] = self._zones.version
-        return True
-
     def _walk(self, qname: Name, qtype: RRType, at: Optional[datetime]):
-        """The actual chain walk; returns (result, touched, observed).
+        """The actual chain walk; returns (result, deps, observed).
 
-        ``touched`` is one ``(zone, name, name_ver, wkey, wkey_ver)``
-        tuple per name consulted (see :meth:`_memo_valid`), and
-        ``observed`` the record groups mirrored into passive DNS, in
-        order — exactly what a memo hit must revalidate and replay.
+        ``deps`` are the ``("dns", …)`` journal subjects every
+        ``zone_for``, ``lookup`` and ``name_exists`` outcome the walk
+        saw depends on.  For each name walked: the name and its
+        wildcard key, whose record changes bump them, and every suffix
+        more specific than the apex that covered it (all suffixes, if
+        none did), since ``create_zone`` bumps the new apex and a zone
+        there would re-route the name.  ``observed`` are the record
+        groups mirrored into passive DNS, in order — what a memo hit
+        replays.
         """
-        touched: List = []
+        deps: List[Subject] = []
         observed: List = []
         chain: List[Name] = []
         # ``qname`` is normalized by :meth:`resolve` and CNAME rdata at
@@ -204,22 +186,20 @@ class Resolver:
         seen = {current}
         while True:
             zone = self._zones.zone_for(current)
+            deps.append(("dns", current))
+            parent = current.partition(".")[2]
+            apex_length = len(zone.apex) if zone is not None else 0
+            suffix = parent
+            while len(suffix) > apex_length:
+                deps.append(("dns", suffix))
+                suffix = suffix.partition(".")[2]
             if zone is None:
-                touched.append((None, current, 0, None, 0))
                 return (
                     ResolutionResult(qname, qtype, ResolutionStatus.NXDOMAIN, chain),
-                    tuple(touched), tuple(observed),
+                    tuple(deps), tuple(observed),
                 )
-            if current.startswith("*."):
-                wkey = None
-                wkey_ver = 0
-            else:
-                _, dot, parent = current.partition(".")
-                wkey = f"*.{parent}" if dot else None
-                wkey_ver = zone.name_version(wkey) if dot else 0
-            touched.append(
-                (zone, current, zone.name_version(current), wkey, wkey_ver)
-            )
+            if parent and not current.startswith("*."):
+                deps.append(("dns", f"*.{parent}"))
             direct = zone.lookup(current, qtype)
             if direct:
                 self._observe(direct, at)
@@ -228,7 +208,7 @@ class Resolver:
                     ResolutionResult(
                         qname, qtype, ResolutionStatus.NOERROR, chain, direct
                     ),
-                    tuple(touched), tuple(observed),
+                    tuple(deps), tuple(observed),
                 )
             cnames = [] if qtype == RRType.CNAME else zone.lookup(current, RRType.CNAME)
             if cnames:
@@ -241,7 +221,7 @@ class Resolver:
                         ResolutionResult(
                             qname, qtype, ResolutionStatus.SERVFAIL, chain
                         ),
-                        tuple(touched), tuple(observed),
+                        tuple(deps), tuple(observed),
                     )
                 seen.add(target)
                 current = target
@@ -249,11 +229,11 @@ class Resolver:
             if zone.name_exists(current):
                 return (
                     ResolutionResult(qname, qtype, ResolutionStatus.NODATA, chain),
-                    tuple(touched), tuple(observed),
+                    tuple(deps), tuple(observed),
                 )
             return (
                 ResolutionResult(qname, qtype, ResolutionStatus.NXDOMAIN, chain),
-                tuple(touched), tuple(observed),
+                tuple(deps), tuple(observed),
             )
 
     def resolve_a_with_chain(
@@ -262,30 +242,13 @@ class Resolver:
         """The Algorithm-1 query: A lookup returning chain + addresses."""
         return self.resolve(qname, RRType.A, at=at)
 
-    def memo_entry(self, qname: Name, qtype: RRType):
-        """The still-valid memo entry for (qname, qtype), or ``None``.
+    def memo_entry(self, qname: Name, qtype: RRType) -> Optional[MemoEntry]:
+        """The live memo entry for (qname, qtype), or ``None``.
 
-        An entry is valid while every name its walk consulted still has
-        the same cover and per-name versions (:meth:`_memo_valid`) —
-        i.e. while a fresh walk would provably return the identical
-        result.  Entry identity is stable for as long as it is valid.
+        An entry lives until the journal bumps one of its ``deps`` —
+        while a fresh walk would provably return the identical result.
         """
-        entry = self._memo.get((qname, qtype))
-        if entry is None or not self._memo_valid(entry):
-            return None
-        return entry
-
-    @staticmethod
-    def memo_observed(entry) -> tuple:
-        """The passive-DNS record groups a memo entry replays, in order."""
-        return entry[5]
-
-    @staticmethod
-    def memo_touched(entry) -> tuple:
-        """The ``(zone, name, name_ver, wkey, wkey_ver)`` tuples a memo
-        entry's walk consulted — the names whose revisions pin the
-        resolution outcome (the revision-journal dependency set)."""
-        return entry[1]
+        return self._memo.get((qname, qtype))
 
     def _observe(self, records: List[ResourceRecord], at: Optional[datetime]) -> None:
         if self._passive_dns is not None and at is not None:

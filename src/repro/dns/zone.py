@@ -17,11 +17,6 @@ from repro.dns.records import RRType, ResourceRecord
 from repro.sim.revisions import RevisionJournal
 
 
-#: Journal key (under kind ``"dns"``) bumped whenever the zone *set*
-#: changes — registering a new zone can re-route any name.
-ZONE_SET_KEY = "__zones__"
-
-
 @dataclass(frozen=True)
 class ZoneChange:
     """One mutation of a zone: a record added or removed at a time."""
@@ -39,14 +34,13 @@ class Zone:
         self._records: Dict[Tuple[Name, RRType], List[ResourceRecord]] = {}
         self._history: List[ZoneChange] = []
         self._record_counts: Dict[Name, int] = {}
-        #: Per-name revisions live in the world-wide journal under
-        #: ``("dns", name)``.  A ``lookup``/``name_exists`` outcome for
-        #: ``name`` is fully pinned by the revisions of ``name`` itself
+        #: Every record add/remove bumps ``("dns", name)`` in the
+        #: world-wide journal.  A ``lookup``/``name_exists`` outcome for
+        #: ``name`` is fully pinned by the subjects of ``name`` itself
         #: and of its wildcard key ``*.parent(name)``, so resolver memo
-        #: entries validated at this granularity survive the weekly
-        #: churn of *other* names in a big shared provider zone.  An
-        #: unshared private journal keeps standalone zones
-        #: self-contained.
+        #: entries depending on them survive the weekly churn of
+        #: *other* names in a big shared provider zone.  An unshared
+        #: private journal keeps standalone zones self-contained.
         self.journal = journal if journal is not None else RevisionJournal()
 
     # -- queries ----------------------------------------------------------
@@ -78,10 +72,6 @@ class Zone:
             ResourceRecord(name=normalized, rtype=rtype, rdata=record.rdata)
             for record in self._records.get((f"*.{parent}", rtype), ())
         ]
-
-    def name_version(self, name: Name) -> int:
-        """Mutation counter for ``name`` alone (0 = never mutated)."""
-        return self.journal.revision("dns", name)
 
     def name_exists(self, name: Name) -> bool:
         """Whether any record type currently exists at ``name``."""
@@ -168,10 +158,6 @@ class ZoneRegistry:
         #: creates; a private one keeps standalone registries working.
         self.journal = journal if journal is not None else RevisionJournal()
         self._zones: Dict[Name, Zone] = {}
-        #: Monotonic registration counter — bumps when the zone *set*
-        #: changes, which is the only event that can move a name between
-        #: zones (or from "no covering zone" to covered).
-        self.version = 0
 
     def create_zone(self, apex: Name) -> Zone:
         """Create and register an empty zone at ``apex``."""
@@ -180,10 +166,11 @@ class ZoneRegistry:
             raise ValueError(f"zone {normalized} already exists")
         zone = Zone(normalized, journal=self.journal)
         self._zones[normalized] = zone
-        self.version += 1
-        # The zone *set* changing can re-route any name's resolution,
-        # so it is a change signal of its own.
-        self.journal.bump("dns", ZONE_SET_KEY)
+        # A new zone is the only event that can move a name between
+        # zones (or from "no covering zone" to covered), and only the
+        # apex and names below it: a walk depends on the subjects of
+        # the suffixes that could take it over (``Resolver._walk``).
+        self.journal.bump("dns", normalized)
         return zone
 
     def get_zone(self, apex: Name) -> Optional[Zone]:

@@ -106,8 +106,7 @@ def _sweep_table(result, metrics) -> str:
         ("direct-transport sweeps", counters.get("sweep.shards.fused", 0)),
         ("client-transport sweeps", counters.get("sweep.shards.generic", 0)),
         ("journal clean skips", counters.get("journal.clean_skips", 0)),
-        ("journal dirty hits", counters.get("journal.dirty", 0)),
-        ("touch-ledger evictions", counters.get("monitor.touch_ledger.evictions", 0)),
+        ("journal-evicted proofs", counters.get("journal.dirty", 0)),
         ("touch-marker samples", counters.get("sweep.sample.touch", 0)),
         ("full samples", counters.get("sweep.sample.full", 0)),
         ("detector signature matches", counters.get("detector.signature_matches", 0)),

@@ -62,8 +62,8 @@ class SkipAudit:
     def install(self) -> "SkipAudit":
         real = self.monitor.extend_if_clean
 
-        def extend_if_clean(fqdn: Name, at: datetime, changed) -> bool:
-            clean = real(fqdn, at, changed)
+        def extend_if_clean(fqdn: Name, at: datetime) -> bool:
+            clean = real(fqdn, at)
             if clean:
                 self._audit(fqdn, at)
             return clean

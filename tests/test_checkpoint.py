@@ -2,7 +2,8 @@
 
 Covers the frame validation (torn, bad magic, checksum mismatch),
 rotation, recovery past corrupt files, recovery past stale files whose
-engine blob no longer unpickles, and full-scenario resume.
+engine blob no longer unpickles, full-scenario resume, and the
+journal-evicted caches (touch ledger, resolver memo) after a restore.
 """
 
 import os
@@ -13,7 +14,8 @@ import pytest
 
 from repro.core.scenario import ScenarioConfig, build_scenario, run_scenario
 from repro.core.export import dataset_to_json
-from repro.pipeline.engine import Checkpoint
+from repro.obs import OBS, MetricsRegistry
+from repro.pipeline.engine import Checkpoint, PipelineEngine
 from tests.oracles.ct_scan import reference_first_issuance
 from repro.pipeline.store import (
     CheckpointCorruptError,
@@ -240,3 +242,54 @@ def test_restore_latest_returns_none_when_every_file_is_stale(tmp_path):
     assert store.restore_latest() is None
     assert store.last_recovery.loaded is None
     assert len(store.last_recovery.skipped) == 1
+
+
+def _edit_a_proven_name(engine):
+    """Redeploy the first clean-skippable name's site through the journal."""
+    result = engine.payload
+    monitor = result.monitor
+    fqdn = next(
+        f for f in result.collector.monitored_sorted
+        if monitor.touch_ledger.get(f) is not None
+    )
+    latest = monitor.store.latest(fqdn)
+    site = result.internet.network.host_at(latest.addresses[0]).site_for(fqdn)
+    site.put_index("<html><head><title>edited after resume</title></head></html>")
+    return fqdn
+
+
+def test_restored_touch_ledger_follows_the_restored_journal():
+    def tiny():
+        config = ScenarioConfig.tiny()
+        config.weeks = 8
+        return config
+
+    straight = build_scenario(tiny())
+    straight.run(max_weeks=5)
+    straight_fqdn = _edit_a_proven_name(straight)
+    straight.run()
+
+    engine = build_scenario(tiny())
+    registry = MetricsRegistry()
+    OBS.configure(metrics=registry)
+    try:
+        engine.run(max_weeks=5)
+    finally:
+        OBS.reset()
+    assert registry.counters().get("journal.clean_skips", 0) > 0
+    resumed = PipelineEngine.restore(engine.checkpoint())
+    fqdn = _edit_a_proven_name(resumed)
+    assert fqdn == straight_fqdn
+    # The restored ledger caught up with the restored journal: the
+    # edit evicted the proof, so the next sweep re-samples the name.
+    monitor = resumed.payload.monitor
+    assert monitor.touch_ledger.get(fqdn) is None
+    states = len(monitor.store.history(fqdn))
+    resumed.run(max_weeks=1)
+    history = monitor.store.history(fqdn)
+    assert len(history) == states + 1
+    assert history[-1].features.title == "edited after resume"
+    resumed.run()
+    assert dataset_to_json(resumed.payload.dataset, indent=2) == dataset_to_json(
+        straight.payload.dataset, indent=2
+    )

@@ -30,6 +30,7 @@ from repro.faults.plan import FaultConfig, FaultPlan
 from repro.faults.retry import CircuitBreaker, RetryPolicy
 from repro.obs import OBS, BufferTracer, MetricsRegistry, TimeSeriesRecorder
 from repro.sim.clock import SimClock
+from repro.sim.revisions import JournalCache
 from repro.sim.rng import RngStreams
 from repro.world.internet import Internet
 from tests.oracles.reference_sampler import reference_sample
@@ -175,8 +176,8 @@ def test_client_transport_touch_drops_the_ledger_proof():
         internet.client, config=MonitorConfig(retry=RetryPolicy.standard(3))
     )
     monitor.store.record(monitor.sample(fqdn, T0))
-    ledger = monitor.touch_ledger
-    ledger.put(fqdn, TouchEntry(fqdn=fqdn, deps=(), state_key=()))
+    ledger = JournalCache(internet.revisions)
+    ledger.put(fqdn, TouchEntry(fqdn=fqdn, state_key=()), ())
     assert monitor.sample(fqdn, T0 + WEEK, ledger=ledger) == fqdn
     assert ledger.get(fqdn) is None
 

@@ -1,26 +1,27 @@
 """Tests for the revision journal and churn-proportional sweeps.
 
 Covers the `repro.sim.revisions` journal itself (bump/cursor/changed
-semantics, event publication), the monitor's size-capped TouchLedger,
-the journal wiring of every world-mutation path, and the sweep
-contract: journal-driven sweeps extend clean names' windows from ledger
-proofs, pick up every kind of staleness (content mutation, resource
-re-registration, new zone registration), and stay byte-identical to a
-full sweep's.
+semantics, event publication), the journal-evicted `JournalCache` the
+resolver memo and the touch ledger are built on, the journal wiring of
+every world-mutation path, and the sweep contract: journal-driven
+sweeps extend clean names' windows from ledger proofs, pick up every
+kind of staleness (content mutation, resource re-registration, new
+zone registration), and stay byte-identical to a full sweep's.
 """
 
 from datetime import datetime, timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.monitoring import TouchEntry, TouchLedger, WeeklyMonitor
+from repro.core.monitoring import WeeklyMonitor
 from repro.core.sweep import ProcessExecutor
 from repro.dns.records import RRType, ResourceRecord
-from repro.dns.zone import ZONE_SET_KEY
 from repro.obs import OBS, MetricsRegistry
 from repro.sim.clock import SimClock
 from repro.sim.events import EventLog
-from repro.sim.revisions import RevisionJournal
+from repro.sim.revisions import JournalCache, RevisionJournal
 from repro.sim.rng import RngStreams
 from repro.world.internet import Internet
 from tests.oracles.serial_sweep import SerialExecutor
@@ -67,44 +68,94 @@ def test_publish_records_the_event_and_bumps_the_kind_prefix():
     assert journal.revision("cloud", "app.azurewebsites.net") == 1
 
 
-def test_revisions_for_reads_many_subjects_at_once():
+# -- JournalCache ----------------------------------------------------------
+
+
+def test_journal_cache_evicts_entries_whose_deps_are_bumped():
     journal = RevisionJournal()
-    journal.bump("dns", "a")
-    journal.bump("dns", "a")
-    journal.bump("net", "10.0.0.1")
-    assert journal.revisions_for((("dns", "a"), ("net", "10.0.0.1"), ("web", "b"))) == (
-        2, 1, 0,
-    )
+    cache = JournalCache(journal, "test.evictions")
+    registry = MetricsRegistry()
+    OBS.configure(metrics=registry)
+    shared = ("dns", "*.azurewebsites.net")
+    cache.put("a", 1, (("dns", "a.example.com"), shared))
+    cache.put("b", 2, (("dns", "b.example.com"), shared))
+    cache.put("c", 3, (("web", "c.example.com"),))
+    try:
+        journal.bump("dns", "a.example.com")
+        journal.bump("web", "unrelated.example.com")
+        assert cache.get("a") is None
+        assert (cache.get("b"), cache.get("c")) == (2, 3)
+        assert registry.counters()["test.evictions"] == 1
+        journal.bump("dns", "*.azurewebsites.net")  # evicts every dependent
+        assert cache.get("b") is None and cache.get("c") == 3
+        assert registry.counters()["test.evictions"] == 2 and len(cache) == 1
+    finally:
+        OBS.reset()
+    # Bumps from before a put do not evict the new entry.
+    cache.put("a", 4, (("dns", "a.example.com"),))
+    assert cache.get("a") == 4
 
 
-# -- TouchLedger -----------------------------------------------------------
+def test_journal_cache_put_replaces_and_discard_is_a_no_op_when_absent():
+    journal = RevisionJournal()
+    cache = JournalCache(journal)
+    cache.put("a", 1, (("dns", "old.example.com"),))
+    cache.put("a", 2, (("dns", "new.example.com"),))
+    journal.bump("dns", "old.example.com")  # the replaced deps no longer count
+    assert cache.get("a") == 2
+    cache.discard("a")
+    cache.discard("a")  # absent: no-op
+    assert cache.get("a") is None
+    journal.bump("dns", "new.example.com")
+    assert len(cache) == 0
 
 
-def _entry(fqdn):
-    return TouchEntry(fqdn=fqdn, deps=(("dns", fqdn),), state_key=("k",))
+#: Steps of the brute-force model check: put a key with a dep set, bump
+#: a subject, discard a key, or look a key up.
+_KEYS = st.sampled_from("abcde")
+_SUBJECTS = st.sampled_from(
+    [("dns", "x"), ("dns", "y"), ("web", "x"), ("net", "1"), ("site", ("p", 1))]
+)
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), _KEYS, st.lists(_SUBJECTS, max_size=4)),
+        st.tuples(st.just("bump"), _SUBJECTS),
+        st.tuples(st.just("discard"), _KEYS),
+        st.tuples(st.just("get"), _KEYS),
+    ),
+    max_size=40,
+)
 
 
-def test_touch_ledger_evicts_least_recently_refreshed_past_the_cap():
-    ledger = TouchLedger(cap=2)
-    ledger.put("a.example.com", _entry("a.example.com"))
-    ledger.put("b.example.com", _entry("b.example.com"))
-    ledger.put("a.example.com", _entry("a.example.com"))  # refresh: now newest
-    ledger.put("c.example.com", _entry("c.example.com"))
-    assert ledger.get("b.example.com") is None  # oldest put went first
-    assert ledger.get("a.example.com") is not None
-    assert ledger.get("c.example.com") is not None
-    assert ledger.evictions == 1
-    assert len(ledger) == 2
-
-
-def test_touch_ledger_invalidate_and_cap_validation():
-    ledger = TouchLedger(cap=4)
-    ledger.put("a.example.com", _entry("a.example.com"))
-    ledger.invalidate("a.example.com")
-    ledger.invalidate("a.example.com")  # absent: no-op
-    assert ledger.get("a.example.com") is None
-    with pytest.raises(ValueError):
-        TouchLedger(cap=0)
+@settings(max_examples=200, deadline=None)
+@given(steps=_STEPS)
+def test_journal_cache_matches_a_brute_force_model(steps):
+    # The model: an entry is present iff it was put and none of its
+    # deps has been bumped since, read off the journal's revisions.
+    journal = RevisionJournal()
+    cache = JournalCache(journal)
+    model = {}
+    for value, step in enumerate(steps):
+        if step[0] == "put":
+            _, key, deps = step
+            cache.put(key, value, tuple(deps))
+            model[key] = (value, {s: journal.revision(*s) for s in deps})
+        elif step[0] == "bump":
+            journal.bump(*step[1])
+        elif step[0] == "discard":
+            cache.discard(step[1])
+            model.pop(step[1], None)
+        else:
+            cache.get(step[1])
+        live = {
+            key: value
+            for key, (value, pinned) in model.items()
+            if all(journal.revision(*s) == r for s, r in pinned.items())
+        }
+        assert {key: cache.get(key) for key in "abcde"} == {
+            key: live.get(key) for key in "abcde"
+        }
+        assert len(cache) == len(live)
 
 
 # -- publisher wiring ------------------------------------------------------
@@ -131,11 +182,10 @@ def test_zone_mutations_publish_per_name_dns_revisions():
     record = ResourceRecord("www.acme.com", RRType.A, "10.0.0.1")
     zone.add(record, T0)
     assert internet.revisions.revision("dns", "www.acme.com") == 1
-    assert zone.name_version("www.acme.com") == 1
     zone.remove(record, T0 + WEEK)
     assert internet.revisions.revision("dns", "www.acme.com") == 2
-    # Registering any zone bumps the global zone-set subject.
-    assert ("dns", ZONE_SET_KEY) in internet.revisions.changed_since(0)
+    # Registering a zone bumps its apex.
+    assert ("dns", "acme.com") in internet.revisions.changed_since(0)
 
 
 def test_provider_lifecycle_publishes_cloud_site_web_and_net_revisions():
@@ -278,12 +328,27 @@ def test_released_then_reregistered_resource_dirties_each_transition(executor_kw
 def test_new_provider_zone_registration_dirties_ledger_entries(executor_kwargs):
     def schedule(internet, resource):
         def register(at):
+            # A new provider zone takes over the CNAME target with the
+            # records it already resolved to; an unrelated zone too.
+            target = resource.generated_fqdn
+            provider_zone = internet.zones.zone_for(target)
+            records = provider_zone.lookup(target, RRType.A)
+            zone = internet.zones.create_zone(target)
+            for record in records:
+                zone.add(record, at)
             internet.zones.create_zone("late-provider.example")
         return {4: register}
 
-    history = _parity_case(executor_kwargs, schedule)
-    # The zone-set bump forces a full re-proof, but the state did not
-    # change: still one state, its window extended every week.
+    registry = MetricsRegistry()
+    OBS.configure(metrics=registry)
+    try:
+        history = _parity_case(executor_kwargs, schedule)
+    finally:
+        OBS.reset()
+    # The re-delegation evicts the proof and forces a full re-proof,
+    # but the state did not change: still one state, its window
+    # extended every week.
+    assert registry.counters().get("journal.dirty", 0) == 1
     assert len(history) == 1
     assert history[0][3] == 6
 
@@ -315,11 +380,19 @@ def test_clean_names_are_skipped_and_dirty_names_are_counted(executor_kwargs):
 
 def test_ledger_cursor_advances_with_the_journal():
     internet = _internet()
-    _, _, fqdn = _victim(internet)
+    _, resource, fqdn = _victim(internet)
     monitor = _journal_monitor(internet)
     executor = ProcessExecutor()
-    assert monitor.touch_ledger.cursor == 0
+    ledger = monitor.touch_ledger
+    # The ledger starts caught up with the journal it follows.
+    assert ledger.cursor == internet.revisions.cursor()
     executor.sweep(monitor, [fqdn], T0)
-    assert monitor.touch_ledger.cursor == internet.revisions.cursor()
     executor.sweep(monitor, [fqdn], T0 + WEEK)
-    assert len(monitor.touch_ledger) == 1  # proof minted by the touch
+    assert len(ledger) == 1  # proof minted by the touch
+    assert ledger.cursor == internet.revisions.cursor()
+    # A bump leaves the cursor behind until the next read catches up
+    # and evicts the proof it dirtied.
+    resource.site.put_index("<html><head><title>new</title></head></html>")
+    assert ledger.cursor < internet.revisions.cursor()
+    assert ledger.get(fqdn) is None
+    assert ledger.cursor == internet.revisions.cursor()
